@@ -6,7 +6,7 @@ basis degree probing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 
 from .errors import SizeLimitError
 from .fields import QQ
@@ -56,43 +56,39 @@ class AdmissiblePath:
         return Polynomial(R, ((self.monomial_exponents(R), R.field.one),))
 
 
-def _is_path(G: Graph, seq) -> bool:
-    return all(G.has_edge(a, b) for a, b in zip(seq, seq[1:]))
-
-
 def admissible_paths(G: Graph) -> list:
-    """All admissible paths between all pairs i < j, by exhaustive DFS
-    with the interior-vertex restriction, condition 2 checked literally on
-    every proper interior subsequence."""
+    """All admissible paths between all pairs i < j, from one DFS that
+    only extends induced paths.  The list comes out sorted by
+    (i, j, interior): pairs and neighbours are taken in increasing order,
+    and no recorded interior extends another.
+
+    Condition (iii) is chordlessness: a chord {i_a, i_b}, b >= a+2, gives
+    the path that drops i_{a+1} .. i_{b-1}; and a proper subsequence that
+    is a path skips a vertex, so the two subsequence vertices around the
+    gap span a chord.  The search stops at the first vertex adjacent to j
+    and steps only to vertices outside [i, j] adjacent to the end and to
+    no earlier path vertex, so it visits exactly the prefixes of
+    admissible paths.
+    """
+    adj = {v: set() for v in G.vertices}
+    for a, b in G.edges:
+        adj[a].add(b)
+        adj[b].add(a)
     out = []
     for i, j in combinations(G.vertices, 2):
-        allowed = {v for v in G.vertices if v < i or v > j}
-        found = []
 
-        def walk(v, interior, used):
-            for w in sorted(G.neighbors(v)):
-                if w == j:
-                    found.append(tuple(interior))
-                elif w in allowed and w not in used:
-                    interior.append(w)
-                    used.add(w)
-                    walk(w, interior, used)
-                    used.discard(w)
-                    interior.pop()
-
-        walk(i, [], {i})
-        for interior in found:
-            minimal = True
-            for r in range(len(interior)):
-                for sub in combinations(interior, r):
-                    if _is_path(G, (i,) + sub + (j,)):
-                        minimal = False
-                        break
-                if not minimal:
-                    break
-            if minimal:
+        def extend(v, interior, blocked):
+            # blocked: path vertices before v and all their neighbours
+            if j in adj[v]:
                 out.append(AdmissiblePath(i, j, interior))
-    return sorted(out, key=lambda p: (p.i, p.j, p.interior))
+                return
+            closed = blocked | adj[v] | {v}
+            for w in sorted(adj[v] - blocked):
+                if w < i or w > j:
+                    extend(w, interior + (w,), closed)
+
+        extend(i, (), frozenset())
+    return out
 
 
 def groebner_combinatorial(G: Graph, field=QQ) -> list:

@@ -345,13 +345,6 @@ class GenCatWitness:
     joins: tuple  # ((u, v), t, new_vertices) per clique join
     whiskers: tuple  # (attach_vertex, leaf)
 
-    def base_caterpillar(self) -> Graph:
-        """The base caterpillar H (here always the bare path), with the
-        original vertex labels of the host graph."""
-        vs = self.path.vertices
-        g = Graph.empty(self.n)
-        return Graph(self.n, frozenset(edge(a, b) for a, b in zip(vs, vs[1:]))) if len(vs) > 1 else g
-
     def replay(self) -> Graph:
         """Rebuild the host graph from the witness."""
         edges = set()

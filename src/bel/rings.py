@@ -9,38 +9,11 @@ variables, when present, come first, giving the block elimination order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import QQ
 
 Monomial = tuple  # exponent vector over the ring's variable roster
-
-
-@dataclass(frozen=True)
-class TermOrder:
-    """Lexicographic order induced by the roster; kind is informational."""
-
-    kind: str = "roster-lex"  # or "block-elimination"
-
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        return compare(m1, m2)
-
-
-def compare(m1: Monomial, m2: Monomial) -> int:
-    """Lex comparison of two monomials of one ring: -1, 0 or 1."""
-    if len(m1) != len(m2):
-        raise ValueError("monomials from different rings")
-    if m1 == m2:
-        return 0
-    return 1 if m1 > m2 else -1
-
-
-def monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2, strict=True))
-
-
-def monomial_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2, strict=True))
 
 
 @dataclass(frozen=True)
@@ -67,10 +40,6 @@ class RingContext:
     @property
     def nvars(self) -> int:
         return len(self.names)
-
-    @property
-    def order(self) -> TermOrder:
-        return TermOrder("block-elimination" if self.nelim else "roster-lex")
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -125,21 +94,6 @@ class RingContext:
         ext = self.with_elimination(k)
         pad = (0,) * k
         return Polynomial(ext, tuple((pad + m, c) for m, c in f.terms))
-
-    def project(self, f: "Polynomial") -> "Polynomial":
-        """Drop the leading nelim elimination variables from a free polynomial."""
-        if self.nelim == 0:
-            return f
-        base = RingContext(self.names[self.nelim :], self.field)
-        terms = []
-        for m, c in f.terms:
-            if any(m[: self.nelim]):
-                raise ValueError("polynomial involves an elimination variable")
-            terms.append((m[self.nelim :], c))
-        return Polynomial(base, tuple(terms))
-
-    def base(self) -> "RingContext":
-        return RingContext(self.names[self.nelim :], self.field) if self.nelim else self
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import networkx as nx
 
 from . import corpus
-from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial
+from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
 from .complexes import delta_of, find_special_odd_cycle
-from .decomp import equality_verdict, minimal_primes, prime_component, symbolic_power
+from .decomp import _subsets, equality_verdict, minimal_primes, prime_component, symbolic_power
 from .fields import PrimeField
 from .graphs import Graph, ass_count_is_two, complement, net_graph
 from .ideals import intersect_all
@@ -27,7 +27,6 @@ from .recognizers import (
     is_weakly_closed,
     is_weakly_closed_with_labeling,
 )
-from .bei import initial_ideal
 
 
 @dataclass
@@ -92,19 +91,12 @@ def criterion_decomposition() -> CriterionResult:
         bad = 0
         for G in graphs:
             J = binomial_edge_ideal(G)
-            primes = [prime_component(G, U).ideal for U in _all_subsets(G)]
+            primes = [prime_component(G, U).ideal for U in _subsets(G.vertices)]
             if not intersect_all(primes).equal(J):
                 bad += 1
         return bad == 0, f"{len(graphs)} graphs checked, {bad} mismatches"
 
     return _timed(2, "edge ideal equals the full prime-component intersection", run)
-
-
-def _all_subsets(G: Graph):
-    from itertools import chain, combinations
-
-    vs = sorted(G.vertices)
-    return chain.from_iterable(combinations(vs, r) for r in range(len(vs) + 1))
 
 
 def criterion_ass_two() -> CriterionResult:

@@ -107,3 +107,27 @@ def oracle_special_odd_cycles(facets) -> list:
                     if all(len(f & set(vseq)) <= 2 for f in fs):
                         found.append((vseq, tuple(fseq)))
     return found
+
+
+def oracle_admissible_paths(G: Graph) -> list:
+    """Admissible paths by conditions (i)-(iii) applied literally: every
+    ordered interior drawn from the vertices below i or above j, kept when
+    i, interior, j is a path and no proper subsequence of the interior
+    gives an i-j path.  Returns sorted (i, j, interior) triples."""
+
+    def is_path(seq):
+        return all(G.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+
+    out = []
+    for i, j in combinations(G.vertices, 2):
+        allowed = [v for v in G.vertices if v < i or v > j]
+        for r in range(len(allowed) + 1):
+            for sub in combinations(allowed, r):
+                for interior in permutations(sub):
+                    if is_path((i,) + interior + (j,)) and not any(
+                        is_path((i,) + shorter + (j,))
+                        for s in range(r)
+                        for shorter in combinations(interior, s)
+                    ):
+                        out.append((i, j, interior))
+    return sorted(out)

@@ -13,8 +13,9 @@ from bel.bei import (
     min_gb_degree,
 )
 from bel.errors import SizeLimitError
-from bel.graphs import Graph, net_graph
+from bel.graphs import Graph, edge, net_graph
 from bel.recognizers import Labeling
+from conftest import oracle_admissible_paths
 
 
 def test_edge_binomial():
@@ -103,3 +104,13 @@ def test_min_degree_two_iff_closed():
         if not G.edges:
             continue
         assert (min_gb_degree(G) == 2) == is_closed(G), sorted(G.edges)
+
+
+def test_admissible_paths_match_oracle():
+    graphs = [G for n in range(1, 6) for G in corpus.all_graphs(n)]
+    # K_n minus the three cycle edges 12, 23, 34: dense, many long paths
+    graphs += [Graph(n, Graph.complete(n).edges - {edge(v, v + 1) for v in (1, 2, 3)})
+               for n in (7, 8)]
+    for G in graphs:
+        got = [(p.i, p.j, p.interior) for p in admissible_paths(G)]
+        assert got == oracle_admissible_paths(G), sorted(G.edges)

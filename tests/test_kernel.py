@@ -156,6 +156,11 @@ def test_kernel_parity_normal_form_and_interreduce(compiled):
         gb = _kernel_py.buchberger(gens, nvars)
         probe = gens[0]
         assert compiled.normal_form(probe, gb, nvars) == _kernel_py.normal_form(probe, gb, nvars)
+        # x1^2 + gens[0] lies outside the ideal, so its remainder is non-zero
+        outside = (((2,) + (0,) * (nvars - 1), QQ.from_int(1)),) + tuple(gens[0])
+        remainder = _kernel_py.normal_form(outside, gb, nvars)
+        assert remainder != []
+        assert compiled.normal_form(outside, gb, nvars) == remainder
         assert compiled.interreduce(gens, nvars) == _kernel_py.interreduce(gens, nvars)
 
 
