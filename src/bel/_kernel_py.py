@@ -1,8 +1,9 @@
 """Pure-Python Groebner kernel.
 
 Monomials are packed into single integers, 16 bits per variable, first
-ring variable in the most significant field.  Values stay below 2**15, so
-one guard bit per field is free and
+ring variable in the most significant field.  Exponents are limited to
+2**15 - 1: packing a larger one, or a product that would exceed it,
+raises SizeLimitError.  So one guard bit per field is free and
 
   * integer comparison is exactly the lexicographic term order,
   * monomial multiplication is integer addition,
@@ -15,6 +16,9 @@ pairs; coefficients are opaque field elements (see bel.fields).
 from __future__ import annotations
 
 import heapq
+import struct
+
+from .errors import SizeLimitError
 
 KERNEL_NAME = "python"
 
@@ -22,32 +26,31 @@ _FIELD_BITS = 16
 _GUARD_SHIFT = 15
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
-_guard_cache: dict[int, int] = {}
+_layout_cache: dict[int, tuple] = {}
 
 
-def _guards(nvars: int) -> int:
-    g = _guard_cache.get(nvars)
-    if g is None:
-        g = 0
-        for i in range(nvars):
-            g |= 1 << (_FIELD_BITS * i + _GUARD_SHIFT)
-        _guard_cache[nvars] = g
-    return g
+def _layout(nvars: int) -> tuple:
+    """(struct of nvars signed 16-bit fields, mask of their guard bits)."""
+    lay = _layout_cache.get(nvars)
+    if lay is None:
+        lay = (struct.Struct(">%dh" % nvars), int.from_bytes(b"\x80\x00" * nvars, "big"))
+        _layout_cache[nvars] = lay
+    return lay
 
 
-def _pack(exps) -> int:
-    m = 0
-    for e in exps:
-        m = (m << _FIELD_BITS) | e
-    return m
+def _overflow():
+    return SizeLimitError(f"exponent above the kernel limit {(1 << _GUARD_SHIFT) - 1}")
 
 
-def _unpack(m: int, nvars: int) -> tuple:
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        out[i] = m & _FIELD_MASK
-        m >>= _FIELD_BITS
-    return tuple(out)
+def _pack(exps, st) -> int:
+    try:
+        return int.from_bytes(st.pack(*exps), "big")
+    except struct.error:
+        raise _overflow() from None
+
+
+def _unpack(m: int, st) -> tuple:
+    return st.unpack(m.to_bytes(st.size, "big"))
 
 
 def _divides(a: int, b: int, guards: int) -> bool:
@@ -62,11 +65,11 @@ def _lcm(a: int, b: int, guards: int) -> int:
     return b + (d & mask & ~guards)
 
 
-def _to_packed(poly, nvars):
+def _to_packed(poly, st):
     """Accumulate external (exps, coeff) pairs into a packed sorted list."""
     acc = {}
     for exps, c in poly:
-        m = _pack(exps)
+        m = _pack(exps, st)
         if m in acc:
             acc[m] = acc[m] + c
         else:
@@ -76,8 +79,8 @@ def _to_packed(poly, nvars):
     return terms
 
 
-def _to_pairs(terms, nvars):
-    return [(_unpack(m, nvars), c) for m, c in terms]
+def _to_pairs(terms, st):
+    return [(_unpack(m, st), c) for m, c in terms]
 
 
 def _reduce_full(terms, basis, guards):
@@ -106,6 +109,9 @@ def _reduce_full(terms, basis, guards):
                     if mm in coeffs:
                         coeffs[mm] = coeffs[mm] - s * tc
                     else:
+                        # an overflowed sum never equals a valid key
+                        if mm & guards:
+                            raise _overflow()
                         coeffs[mm] = -s * tc
                         heapq.heappush(heap, -mm)
                 break
@@ -142,23 +148,27 @@ def _spoly(f, g, guards):
             acc[mm] = acc[mm] - c / lcg
         else:
             acc[mm] = -(c / lcg)
+    if any(m & guards for m in acc):
+        raise _overflow()
     terms = [(m, c) for m, c in acc.items() if c]
     terms.sort(reverse=True)
     return terms
 
 
 def _autoreduce(polys, guards):
-    """One interreduction sweep; preserves the generated ideal."""
-    polys = sorted((p for p in polys if p), key=lambda p: p[0][0])
-    out = []
-    for p in polys:
-        r = _reduce_full(p, [_prep(q) for q in out], guards)
+    """One interreduction sweep, smallest leading monomial first, each
+    polynomial against the results before it; preserves the ideal."""
+    out, reducers = [], []
+    for p in sorted((p for p in polys if p), key=lambda p: p[0][0]):
+        r = _reduce_full(p, reducers, guards)
         if r:
-            out.append(_monic(r))
+            r = _monic(r)
+            out.append(r)
+            reducers.append(_prep(r))
     return out
 
 
-def _update_pairs(G, lms, pairs, j, guards):
+def _update_pairs(lms, pairs, j, guards):
     """Gebauer-Moeller pair update after appending generator j."""
     lmj = lms[j]
     kept = set()
@@ -183,49 +193,35 @@ def _update_pairs(G, lms, pairs, j, guards):
 
 
 def _buchberger_packed(gens, guards):
-    G = _autoreduce(gens, guards)
-    lms = [g[0][0] for g in G]
-    pairs = set()
-    for j in range(len(G)):
-        pairs = _update_pairs(G, lms, pairs, j, guards)
-    heap = [(_lcm(lms[a], lms[b], guards), a, b) for (a, b) in pairs]
-    heapq.heapify(heap)
-    reducers = [_prep(g) for g in G]
-    while heap:
+    G, lms, reducers, pairs, heap = [], [], [], set(), []
+    # the generators, then each nonzero remainder, join through one update
+    todo = _autoreduce(gens, guards)[::-1]
+    while todo or heap:
+        if todo:
+            r = todo.pop()
+            G.append(r)
+            lms.append(r[0][0])
+            reducers.append(_prep(r))
+            new_pairs = _update_pairs(lms, pairs, len(G) - 1, guards)
+            for a, b in new_pairs - pairs:
+                heapq.heappush(heap, (_lcm(lms[a], lms[b], guards), a, b))
+            pairs = new_pairs
+            continue
         _, a, b = heapq.heappop(heap)
-        if (a, b) not in pairs:
-            continue
-        pairs.discard((a, b))
-        s = _spoly(G[a], G[b], guards)
-        r = _reduce_full(s, reducers, guards)
-        if not r:
-            continue
-        r = _monic(r)
-        G.append(r)
-        lms.append(r[0][0])
-        reducers.append(_prep(r))
-        j = len(G) - 1
-        new_pairs = _update_pairs(G, lms, pairs, j, guards)
-        for p in new_pairs - pairs:
-            heapq.heappush(heap, (_lcm(lms[p[0]], lms[p[1]], guards), p[0], p[1]))
-        pairs = new_pairs
+        if (a, b) in pairs:
+            pairs.discard((a, b))
+            r = _reduce_full(_spoly(G[a], G[b], guards), reducers, guards)
+            if r:
+                todo.append(_monic(r))
 
-    # minimal basis: drop generators whose leading monomial is redundant
-    order = sorted(range(len(G)), key=lambda i: lms[i])
-    minimal = []
-    for i in order:
-        if all(not _divides(G[k][0][0], lms[i], guards) for k in minimal):
-            minimal.append(i)
-    basis = [G[i] for i in minimal]
-
-    # reduced basis: fully reduce every tail against the others
-    reduced = []
-    for i, g in enumerate(basis):
-        others = [_prep(h) for k, h in enumerate(basis) if k != i]
-        r = _reduce_full(g, others, guards)
-        reduced.append(_monic(r))
-    reduced.sort(key=lambda p: p[0][0], reverse=True)
-    return reduced
+    # minimal basis (distinct leading monomials, none dividing another); a
+    # term of g is divisible only by smaller leading monomials, so one sweep
+    # from the smallest up leaves the unique reduced basis
+    basis = []
+    for g in sorted(G, key=lambda g: g[0][0]):
+        if all(not _divides(h[0][0], g[0][0], guards) for h in basis):
+            basis.append(g)
+    return _autoreduce(basis, guards)[::-1]
 
 
 def buchberger(gens, nvars):
@@ -235,24 +231,24 @@ def buchberger(gens, nvars):
     elements are monic, fully interreduced, term-sorted descending, and the
     basis is sorted by leading monomial descending.
     """
-    guards = _guards(nvars)
-    packed = [p for p in (_to_packed(g, nvars) for g in gens) if p]
+    st, guards = _layout(nvars)
+    packed = [p for p in (_to_packed(g, st) for g in gens) if p]
     if not packed:
         return []
     gb = _buchberger_packed(packed, guards)
-    return [_to_pairs(g, nvars) for g in gb]
+    return [_to_pairs(g, st) for g in gb]
 
 
 def normal_form(f, basis, nvars):
     """Remainder of f on full division by the (nonzero) polynomials in basis."""
-    guards = _guards(nvars)
-    fp = _to_packed(f, nvars)
-    bp = [_prep(_to_packed(g, nvars)) for g in basis]
-    return _to_pairs(_reduce_full(fp, bp, guards), nvars)
+    st, guards = _layout(nvars)
+    fp = _to_packed(f, st)
+    bp = [_prep(_to_packed(g, st)) for g in basis]
+    return _to_pairs(_reduce_full(fp, bp, guards), st)
 
 
 def interreduce(gens, nvars):
     """One autoreduction sweep over a generating set (ideal is preserved)."""
-    guards = _guards(nvars)
-    packed = [p for p in (_to_packed(g, nvars) for g in gens) if p]
-    return [_to_pairs(g, nvars) for g in _autoreduce(packed, guards)]
+    st, guards = _layout(nvars)
+    packed = [p for p in (_to_packed(g, st) for g in gens) if p]
+    return [_to_pairs(g, st) for g in _autoreduce(packed, guards)]

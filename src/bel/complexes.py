@@ -98,16 +98,15 @@ def find_special_odd_cycle(cx: SimplicialComplex):
             if special_ok(vset, fseq):
                 # close the cycle with odd length >= 3
                 if len(vseq) >= 3 and len(vseq) % 2 == 1 and start in f:
-                    if special_ok(vset, fseq):
-                        result = SpecialCycle(tuple(vseq), tuple(fseq))
-                        try:
-                            result.validate(cx)
-                        except ValueError:
-                            result = None
-                        if result is not None:
-                            fseq.pop()
-                            fset.discard(f)
-                            return result
+                    result = SpecialCycle(tuple(vseq), tuple(fseq))
+                    try:
+                        result.validate(cx)
+                    except ValueError:
+                        result = None
+                    if result is not None:
+                        fseq.pop()
+                        fset.discard(f)
+                        return result
                 for w in sorted(f, key=symbol_pos.get):
                     if w in vset or symbol_pos[w] < symbol_pos[start]:
                         continue

@@ -75,7 +75,8 @@ def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: st
         for U in _subsets(G.vertices):
             Uset = set(U)
             rest = set(G.vertices) - Uset
-            if all(len(components_within(G, rest | {i})) < len(components_within(G, rest)) for i in Uset):
+            c = len(components_within(G, rest))
+            if all(len(components_within(G, rest | {i})) < c for i in Uset):
                 out.append(prime_component(G, U, field))
         return out
     if method != "containment":

@@ -1,36 +1,19 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection: the compiled extension ``bel._kernel_c`` when it
+imports, the pure-Python ``bel._kernel_py`` otherwise.
 
-Set BEL_PURE_PYTHON=1 to force the pure-Python kernel even when the
-compiled one is importable.
+Both have the same API and canonical output.  Callers go through this
+module's attributes (``kernel.buchberger`` etc.), so ``KERNEL_NAME``
+always names the kernel that runs.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernel_py
-
-if os.environ.get("BEL_PURE_PYTHON"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel_c as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernel_py
+try:
+    from . import _kernel_c as _impl
+except ImportError:
+    from . import _kernel_py as _impl  # type: ignore[no-redef]
 
 KERNEL_NAME = _impl.KERNEL_NAME
 buchberger = _impl.buchberger
 normal_form = _impl.normal_form
 interreduce = _impl.interreduce
-
-
-def implementations():
-    """All importable kernel modules, keyed by name."""
-    impls = {_kernel_py.KERNEL_NAME: _kernel_py}
-    try:
-        from . import _kernel_c
-
-        impls[_kernel_c.KERNEL_NAME] = _kernel_c
-    except ImportError:
-        pass
-    return impls

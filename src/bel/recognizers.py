@@ -67,17 +67,6 @@ class VertexPath:
 
     vertices: tuple
 
-    def validate(self, G: Graph):
-        vs = self.vertices
-        if len(set(vs)) != len(vs):
-            raise ValueError("path repeats a vertex")
-        for a, b in zip(vs, vs[1:]):
-            if not G.has_edge(a, b):
-                raise ValueError(f"({a}, {b}) is not an edge")
-
-    def __len__(self):
-        return len(self.vertices)
-
 
 def _canonical_seq(seq: tuple) -> tuple:
     rev = tuple(reversed(seq))
@@ -119,13 +108,11 @@ def is_caterpillar(G: Graph) -> bool:
     if len(internal) <= 1:
         return True
     iset = set(internal)
-    degs = []
     ecount = 0
     for v in internal:
         d = len(G.neighbors(v) & iset)
         if d > 2:
             return False
-        degs.append(d)
         ecount += d
     ecount //= 2
     if ecount != len(internal) - 1:

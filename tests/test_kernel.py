@@ -22,8 +22,10 @@ import pytest
 
 from bel import _kernel_py, kernel
 from bel.bei import binomial_edge_ideal
+from bel.decomp import minimal_primes
+from bel.errors import SizeLimitError
 from bel.fields import QQ
-from bel.graphs import Graph
+from bel.graphs import Graph, net_graph
 from bel.rings import RingContext
 
 
@@ -81,10 +83,9 @@ def impl(request):
     return request.getfixturevalue("compiled")
 
 
-def test_at_least_pure_python_available():
-    impls = kernel.implementations()
-    assert "python" in impls
-    assert kernel.KERNEL_NAME in impls
+def test_kernel_name_matches_selected_module():
+    expected = {"bel._kernel_py": "python", "bel._kernel_c": "cython"}
+    assert kernel.KERNEL_NAME == expected[kernel.buchberger.__module__]
 
 
 @needs_compiler
@@ -144,9 +145,31 @@ def test_buchberger_idempotent(impl):
         assert impl.buchberger(gb, nvars) == gb
 
 
+def _larger_systems(monkeypatch):
+    """J_G for path(6), cycle(6), star(5), complete(5) and the net, the
+    square of the net's ideal, and the w-extended system that the fourth
+    step of the net's t=2 symbolic-power fold hands the kernel."""
+    for G in (Graph.path(6), Graph.cycle(6), Graph.star(5), Graph.complete(5), net_graph()):
+        I = binomial_edge_ideal(G)
+        yield [g.terms for g in I.gens], I.ring.nvars
+    I = binomial_edge_ideal(net_graph()).power(2)
+    yield [g.terms for g in I.gens], I.ring.nvars
+    primes = minimal_primes(net_graph(), method="cutpoint")
+    powers = sorted((pc.ideal.power(2) for pc in primes), key=lambda I: len(I.gens))
+    acc = powers[0]
+    for J in powers[1:4]:
+        acc = acc.intersect(J)
+    captured = []
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "buchberger", lambda gens, nvars: captured.append((gens, nvars)) or [])
+        acc.intersect(powers[4])
+    (system,) = captured
+    yield system
+
+
 @needs_compiler
-def test_kernel_parity_buchberger(compiled):
-    for gens, nvars in _edge_systems():
+def test_kernel_parity_buchberger(compiled, monkeypatch):
+    for gens, nvars in [*_edge_systems(), *_larger_systems(monkeypatch)]:
         assert compiled.buchberger(gens, nvars) == _kernel_py.buchberger(gens, nvars)
 
 
@@ -206,3 +229,20 @@ def test_reduced_basis_property(impl):
                     assert not all(a <= b for a, b in zip(lm, m)), (
                         f"term {m} divisible by foreign leading monomial {lm}"
                     )
+
+
+def test_pure_python_exponent_limit():
+    """Exponents above 2**15 - 1 raise instead of spilling into the next
+    packed field, whether given or produced by a reduction."""
+    R = RingContext.for_graph(2, QQ)
+    x1, x2, y1, y2 = R.x(1), R.x(2), R.y(1), R.y(2)
+    with pytest.raises(SizeLimitError):
+        _kernel_py.normal_form((y1 ** 70000).terms, [x2.terms], R.nvars)
+    with pytest.raises(SizeLimitError):
+        _kernel_py.normal_form((x1 * y1 ** 20000).terms, [(x1 - y1 ** 20000).terms], R.nvars)
+    # the s-polynomial of these two carries y1^20000 * y1^20000
+    with pytest.raises(SizeLimitError):
+        _kernel_py.buchberger([(x1 * x2 - y1 ** 20000).terms, (x1 * y1 ** 20000 - y2).terms], R.nvars)
+    top = y1 ** (2 ** 15 - 1)
+    assert _kernel_py.normal_form((x1 * y1 ** 16383).terms, [(x1 - y1 ** 16384).terms], R.nvars) == list(top.terms)
+    assert _kernel_py.buchberger([(top - y2).terms], R.nvars) == [list((top - y2).terms)]
