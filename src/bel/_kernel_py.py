@@ -239,12 +239,37 @@ def buchberger(gens, nvars):
     return [_to_pairs(g, st) for g in gb]
 
 
+# (basis, nvars, its reducer triples) of the last immutable normal_form basis
+_nf_memo: tuple = (None, 0, None)
+
+
+def _frozen(basis) -> bool:
+    """basis, its polynomials, their terms and exponent vectors are all
+    tuples, so (coefficients being immutable field elements) nothing in it
+    can change while the object lives."""
+    return type(basis) is tuple and all(
+        type(g) is tuple and all(type(t) is tuple and type(t[0]) is tuple for t in g)
+        for g in basis
+    )
+
+
 def normal_form(f, basis, nvars):
-    """Remainder of f on full division by the (nonzero) polynomials in basis."""
+    """Remainder of f on full division by the (nonzero) polynomials in basis.
+
+    The packed reducers of the last basis are reused when the next call
+    passes the very same basis object with the same nvars, and only if
+    that basis is tuples all the way down (basis, polynomials, terms,
+    exponent vectors); a list anywhere in it is packed afresh each call.
+    """
+    global _nf_memo
     st, guards = _layout(nvars)
-    fp = _to_packed(f, st)
-    bp = [_prep(_to_packed(g, st)) for g in basis]
-    return _to_pairs(_reduce_full(fp, bp, guards), st)
+    memo_basis, memo_nvars, bp = _nf_memo
+    if basis is not memo_basis or nvars != memo_nvars:
+        bp = [_prep(_to_packed(g, st)) for g in basis]
+        if _frozen(basis):
+            # holding basis itself keeps its id from being reused
+            _nf_memo = (basis, nvars, bp)
+    return _to_pairs(_reduce_full(_to_packed(f, st), bp, guards), st)
 
 
 def interreduce(gens, nvars):

@@ -60,13 +60,38 @@ def _subsets(vertices):
     return chain.from_iterable(combinations(vs, r) for r in range(len(vs) + 1))
 
 
+def _strictly_inside(q: PrimeComponent, p: PrimeComponent) -> bool:
+    """q's ideal is strictly inside p's, decided by Groebner membership."""
+    return p.ideal.contains_ideal(q.ideal) and not q.ideal.contains_ideal(p.ideal)
+
+
+def _inclusion_minimal(comps) -> list:
+    """The components whose ideal has no other one strictly inside it, in
+    input order, whatever that order is.
+
+    Pass 1 keeps a component unless an earlier survivor lies strictly
+    inside it; pass 2 drops a survivor that has a later survivor strictly
+    inside it (none does when the input ascends in |U|).  A survivor was
+    already compared with every earlier survivor in pass 1.
+    """
+    kept = []
+    for pc in comps:
+        if not any(_strictly_inside(q, pc) for q in kept):
+            kept.append(pc)
+    return [pc for i, pc in enumerate(kept)
+            if not any(_strictly_inside(q, pc) for q in kept[i + 1:])]
+
+
 def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: str = "containment") -> list:
     """All P_U, filtered to the inclusion-minimal ideals.
 
-    method "containment" (the authority) filters by pairwise Groebner
-    membership; "cutpoint" uses the combinatorial criterion that every
-    vertex of U must disconnect the induced graph on the rest plus that
-    vertex.
+    method "containment" (the authority) decides containment by Groebner
+    membership and compares each P_U only with the survivors so far:
+    strict containment is a strict order on a finite set, so every
+    non-minimal P_U lies strictly above some minimal one, and comparing
+    with the minimal candidates suffices.  "cutpoint" uses the
+    combinatorial criterion that every vertex of U must disconnect the
+    induced graph on the rest plus that vertex.
     """
     if G.n > cap:
         raise SizeLimitError(f"minimal-prime enumeration capped at n={cap} (2^n subsets)")
@@ -81,19 +106,7 @@ def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: st
         return out
     if method != "containment":
         raise ValueError(f"unknown method {method!r}")
-    comps = [prime_component(G, U, field) for U in _subsets(G.vertices)]
-    out = []
-    for pc in comps:
-        minimal = True
-        for other in comps:
-            if other.U == pc.U:
-                continue
-            if pc.ideal.contains_ideal(other.ideal) and not other.ideal.contains_ideal(pc.ideal):
-                minimal = False
-                break
-        if minimal:
-            out.append(pc)
-    return out
+    return _inclusion_minimal([prime_component(G, U, field) for U in _subsets(G.vertices)])
 
 
 def symbolic_power(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> Ideal:

@@ -23,6 +23,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb = None
+        self._gb_terms = None
 
     def groebner(self):
         """The canonical reduced Groebner basis (monic, interreduced,
@@ -30,6 +31,8 @@ class Ideal:
         if self._gb is None:
             raw = kernel.buchberger([g.terms for g in self.gens], self.ring.nvars)
             self._gb = tuple(self.ring.from_terms(t) for t in raw)
+            # one basis object per ideal, so the kernel can keep it packed
+            self._gb_terms = tuple(g.terms for g in self._gb)
         return self._gb
 
     @property
@@ -41,7 +44,8 @@ class Ideal:
             raise ValueError("polynomial from a different ring")
         if self.is_zero:
             return f
-        r = kernel.normal_form(f.terms, [g.terms for g in self.groebner()], self.ring.nvars)
+        self.groebner()
+        r = kernel.normal_form(f.terms, self._gb_terms, self.ring.nvars)
         return self.ring.from_terms(r)
 
     def contains(self, f: Polynomial) -> bool:

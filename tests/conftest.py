@@ -131,3 +131,25 @@ def oracle_admissible_paths(G: Graph) -> list:
                     ):
                         out.append((i, j, interior))
     return sorted(out)
+
+
+def oracle_minimal_primes(G: Graph) -> list:
+    """Minimal primes by the literal definition: every P_U compared with
+    every other P_T by Groebner membership, kept when no P_T lies strictly
+    inside it.  Subsets U by size, then lexicographically."""
+    from bel.decomp import prime_component
+
+    vs = sorted(G.vertices)
+    comps = [prime_component(G, U) for r in range(len(vs) + 1) for U in combinations(vs, r)]
+    out = []
+    for pc in comps:
+        minimal = True
+        for other in comps:
+            if other.U == pc.U:
+                continue
+            if pc.ideal.contains_ideal(other.ideal) and not other.ideal.contains_ideal(pc.ideal):
+                minimal = False
+                break
+        if minimal:
+            out.append(pc)
+    return out

@@ -1,8 +1,13 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from bel import corpus
 from bel.bei import binomial_edge_ideal
 from bel.decomp import (
+    _inclusion_minimal,
+    _subsets,
     equality_verdict,
     minimal_primes,
     prime_component,
@@ -10,8 +15,10 @@ from bel.decomp import (
 )
 from bel.errors import SizeLimitError
 from bel.fields import PrimeField
-from bel.graphs import Graph, net_graph
+from bel.graphs import Graph, is_connected, net_graph
 from bel.ideals import intersect_all
+
+from conftest import oracle_minimal_primes
 
 
 def U_sets(primes):
@@ -42,6 +49,34 @@ def test_methods_agree(small_transversal):
         assert a == b, sorted(G.edges)
     with pytest.raises(ValueError):
         minimal_primes(Graph.path(3), method="nope")
+
+
+def _disconnected(n, seed):
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, n + 1), 2))
+    while True:
+        G = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5])
+        if not is_connected(G):
+            return G
+
+
+def test_minimal_primes_match_oracle():
+    """The survivor filter returns the all-pairs filter's list, in its
+    order, and the same set when fed the components in reverse, where a
+    non-minimal P_U comes before the minimal prime inside it."""
+    graphs = [
+        Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        for n in range(1, 5)
+        for pairs in [list(combinations(range(1, n + 1), 2))]
+        for mask in range(1 << len(pairs))
+    ]
+    graphs += [net_graph()] + [_disconnected(n, seed) for n, seed in [(5, 1), (5, 2), (6, 3), (6, 4)]]
+    for G in graphs:
+        want = [(pc.U, pc.components) for pc in oracle_minimal_primes(G)]
+        assert [(pc.U, pc.components) for pc in minimal_primes(G)] == want, sorted(G.edges)
+        comps = [prime_component(G, U) for U in _subsets(G.vertices)]
+        backwards = _inclusion_minimal(reversed(comps))
+        assert {pc.U for pc in backwards} == {U for U, _ in want}, sorted(G.edges)
 
 
 def test_minimal_primes_cap():

@@ -173,8 +173,76 @@ def test_kernel_parity_buchberger(compiled, monkeypatch):
         assert compiled.buchberger(gens, nvars) == _kernel_py.buchberger(gens, nvars)
 
 
+def _fresh_normal_form(f, basis, nvars):
+    """The pure-Python normal form with the basis packed on this call,
+    bypassing the kernel's memo."""
+    st, guards = _kernel_py._layout(nvars)
+    bp = [_kernel_py._prep(_kernel_py._to_packed(g, st)) for g in basis]
+    return _kernel_py._to_pairs(_kernel_py._reduce_full(_kernel_py._to_packed(f, st), bp, guards), st)
+
+
+def _reduced_basis(G):
+    """The reduced basis of J_G as a tuple of term tuples, the shape in
+    which Ideal hands a basis to the kernel."""
+    I = binomial_edge_ideal(G)
+    return tuple(tuple(t) for t in _kernel_py.buchberger([g.terms for g in I.gens], I.ring.nvars))
+
+
+def _memo_calls(normal_form):
+    """Call normal_form in orders that could expose a stale packed basis:
+    alternating bases, an equal-content copy, a temporary tuple freed
+    before the next one is made, and mutations of a list basis and of a
+    tuple of lists between calls.  Returns (result, expected) pairs."""
+    R = RingContext.for_graph(4, QQ)
+    a, b = _reduced_basis(Graph.path(4)), _reduced_basis(Graph.complete(4))
+    f = (R.x(1) * R.y(3) + R.x(1) * R.y(4) * R.y(2) + R.x(2) * R.y(4)).terms
+    out = []
+
+    def call(basis):
+        out.append((normal_form(f, basis, R.nvars), _fresh_normal_form(f, basis, R.nvars)))
+
+    for basis in (a, b, a, b, tuple(list(a)), a):
+        call(basis)
+    call(tuple(list(a)))  # freed after the call
+    call(tuple(list(b)))
+    lst = list(a)
+    call(lst)
+    lst[:] = b
+    call(lst)
+    nested = tuple(list(g) for g in a)
+    call(nested)
+    for g in nested:
+        g[:] = (R.y(4) ** 5).terms  # divides no term of f
+    call(nested)
+    return out
+
+
+def test_normal_form_memo_matches_fresh():
+    results = _memo_calls(_kernel_py.normal_form)
+    for got, want in results:
+        assert got == want
+    # the probe tells the two bases apart, so a stale basis would show
+    assert results[0][1] != results[1][1]
+    R = RingContext.for_graph(3, QQ)
+    gb = _reduced_basis(Graph.path(3))
+    probe = (R.x(1) * R.y(3)).terms
+    _kernel_py.normal_form(probe, gb, R.nvars)
+    assert _kernel_py._nf_memo[0] is gb
+    # the same tuple with another nvars is packed afresh, so its 6-entry
+    # exponent vectors fail to pack for 8 variables, as on a fresh packing
+    wide = tuple((m + (0, 0), c) for m, c in probe)
+    with pytest.raises(SizeLimitError):
+        _fresh_normal_form(wide, gb, R.nvars + 2)
+    with pytest.raises(SizeLimitError):
+        _kernel_py.normal_form(wide, gb, R.nvars + 2)
+
+
 @needs_compiler
 def test_kernel_parity_normal_form_and_interreduce(compiled):
+    # the compiled kernel does not read nvars, so the nvars case is not run
+    # here; every other call order must give the pure-Python results
+    for got, want in _memo_calls(compiled.normal_form):
+        assert got == want
     for gens, nvars in _edge_systems():
         gb = _kernel_py.buchberger(gens, nvars)
         probe = gens[0]
