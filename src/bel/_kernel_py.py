@@ -46,6 +46,9 @@ def _pack(exps, st) -> int:
     try:
         return int.from_bytes(st.pack(*exps), "big")
     except struct.error:
+        if len(exps) != st.size // 2:
+            raise ValueError(f"exponent vector of length {len(exps)}, "
+                             f"expected {st.size // 2}") from None
         raise _overflow() from None
 
 
@@ -133,10 +136,10 @@ def _monic(g):
     return [(m, c / lc) for m, c in g]
 
 
-def _spoly(f, g, guards):
+def _spoly(f, g, lcm, guards):
+    """S-polynomial of f and g; lcm is that of their leading monomials."""
     lmf, lcf = f[0]
     lmg, lcg = g[0]
-    lcm = _lcm(lmf, lmg, guards)
     qf = lcm - lmf
     qg = lcm - lmg
     acc = {}
@@ -168,51 +171,47 @@ def _autoreduce(polys, guards):
     return out
 
 
-def _update_pairs(lms, pairs, j, guards):
-    """Gebauer-Moeller pair update after appending generator j."""
+def _update_pairs(lms, pairs, guards):
+    """Gebauer-Moeller update of the (lcm, a, b) pair heap after appending
+    leading monomial j = len(lms) - 1; returns the new heap."""
+    j = len(lms) - 1
     lmj = lms[j]
-    kept = set()
-    for (a, b) in pairs:
-        lab = _lcm(lms[a], lms[b], guards)
-        if (not _divides(lmj, lab, guards)
-                or lab == _lcm(lms[a], lmj, guards)
-                or lab == _lcm(lms[b], lmj, guards)):
-            kept.add((a, b))
+    lj = [_lcm(m, lmj, guards) for m in lms[:j]]  # lcm(lm_i, lm_j), each once
+    # B_k on the stored lcm L of (L, a, b): drop if lm_j | L and L != lj[a], lj[b]
+    heap = [p for p in pairs
+            if not _divides(lmj, p[0], guards) or p[0] == lj[p[1]] or p[0] == lj[p[2]]]
     by_lcm: dict[int, list] = {}
-    for i in range(j):
-        by_lcm.setdefault(_lcm(lms[i], lmj, guards), []).append(i)
+    for i, L in enumerate(lj):
+        by_lcm.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(by_lcm):
         if all(not _divides(M, L, guards) for M in minimal):
             minimal.append(L)
     for L in minimal:
-        if any(_lcm(lms[i], lmj, guards) == lms[i] + lmj for i in by_lcm[L]):
+        if any(L == lms[i] + lmj for i in by_lcm[L]):
             continue  # coprime leading terms: s-poly reduces to zero
-        kept.add((min(by_lcm[L]), j))
-    return kept
+        heap.append((L, min(by_lcm[L]), j))
+    heapq.heapify(heap)
+    return heap
 
 
 def _buchberger_packed(gens, guards):
-    G, lms, reducers, pairs, heap = [], [], [], set(), []
-    # the generators, then each nonzero remainder, join through one update
+    G, lms, reducers, pairs = [], [], [], []
+    # the generators, then each nonzero remainder, join through one update;
+    # pairs are reduced in ascending (lcm, a, b) order
     todo = _autoreduce(gens, guards)[::-1]
-    while todo or heap:
+    while todo or pairs:
         if todo:
             r = todo.pop()
             G.append(r)
             lms.append(r[0][0])
             reducers.append(_prep(r))
-            new_pairs = _update_pairs(lms, pairs, len(G) - 1, guards)
-            for a, b in new_pairs - pairs:
-                heapq.heappush(heap, (_lcm(lms[a], lms[b], guards), a, b))
-            pairs = new_pairs
+            pairs = _update_pairs(lms, pairs, guards)
             continue
-        _, a, b = heapq.heappop(heap)
-        if (a, b) in pairs:
-            pairs.discard((a, b))
-            r = _reduce_full(_spoly(G[a], G[b], guards), reducers, guards)
-            if r:
-                todo.append(_monic(r))
+        lcm, a, b = heapq.heappop(pairs)
+        r = _reduce_full(_spoly(G[a], G[b], lcm, guards), reducers, guards)
+        if r:
+            todo.append(_monic(r))
 
     # minimal basis (distinct leading monomials, none dividing another); a
     # term of g is divisible only by smaller leading monomials, so one sweep

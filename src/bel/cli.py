@@ -17,7 +17,7 @@ from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, ini
 from .complexes import delta_of, find_special_odd_cycle
 from .decomp import equality_verdict, minimal_primes, symbolic_power
 from .errors import SizeLimitError
-from .fields import QQ, field_from_spec
+from .fields import QQ, RATIONAL_BACKEND, field_from_spec
 from .graphs import Graph, GraphParseError, complement, from_file, net_graph
 from .kernel import KERNEL_NAME
 from .recognizers import (
@@ -65,6 +65,7 @@ def _report(command: str, G: Graph | None, results: dict, t0: float, field=None)
     rep = {
         "command": command,
         "kernel": KERNEL_NAME,
+        "rational": RATIONAL_BACKEND,
         "results": results,
         "seconds": round(time.perf_counter() - t0, 3),
     }

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
     from fractions import Fraction as _rational
+
+# "gmpy2" or "fractions": the module of the rational type in use
+RATIONAL_BACKEND = type(_rational(1)).__module__
 
 
 class RationalField:

@@ -1,9 +1,12 @@
 """Kernel selection: the compiled extension ``bel._kernel_c`` when it
 imports, the pure-Python ``bel._kernel_py`` otherwise.
 
-Both have the same API and canonical output.  Callers go through this
-module's attributes (``kernel.buchberger`` etc.), so ``KERNEL_NAME``
-always names the kernel that runs.
+Both have the same API and canonical output within the exponent limits.
+The pure-Python kernel raises SizeLimitError on an exponent above
+2**15 - 1; the compiled one does not check exponents and wraps silently
+above 2**16 - 1 (an exponent keeps only its low 16 bits).  Callers go
+through this module's attributes (``kernel.buchberger`` etc.), so
+``KERNEL_NAME`` always names the kernel that runs.
 """
 
 from __future__ import annotations

@@ -74,6 +74,8 @@ class RingContext:
             m = tuple(m)
             if len(m) != self.nvars:
                 raise ValueError("exponent vector length does not match roster")
+            if min(m, default=0) < 0:
+                raise ValueError("negative exponent in monomial")
             acc[m] = acc[m] + c if m in acc else c
         cleaned = tuple(sorted(((m, c) for m, c in acc.items() if c), reverse=True))
         return Polynomial(self, cleaned)

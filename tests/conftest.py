@@ -153,3 +153,32 @@ def oracle_minimal_primes(G: Graph) -> list:
         if minimal:
             out.append(pc)
     return out
+
+
+def oracle_update_pairs(lms, pairs, j, guards) -> set:
+    """Gebauer-Moeller pair update kept as a set of (a, b) index pairs,
+    every lcm recomputed where it is used: pairs is the pending set before
+    generator j joined, lms the leading monomials packed as in the
+    pure-Python kernel."""
+    from bel._kernel_py import _divides, _lcm
+
+    lmj = lms[j]
+    kept = set()
+    for (a, b) in pairs:
+        lab = _lcm(lms[a], lms[b], guards)
+        if (not _divides(lmj, lab, guards)
+                or lab == _lcm(lms[a], lmj, guards)
+                or lab == _lcm(lms[b], lmj, guards)):
+            kept.add((a, b))
+    by_lcm: dict = {}
+    for i in range(j):
+        by_lcm.setdefault(_lcm(lms[i], lmj, guards), []).append(i)
+    minimal = []
+    for L in sorted(by_lcm):
+        if all(not _divides(M, L, guards) for M in minimal):
+            minimal.append(L)
+    for L in minimal:
+        if any(_lcm(lms[i], lmj, guards) == lms[i] + lmj for i in by_lcm[L]):
+            continue
+        kept.add((min(by_lcm[L]), j))
+    return kept

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from bel import cli
+from bel.fields import QQ, RATIONAL_BACKEND
 from bel.graphs import Graph, net_graph, to_text
 from bel.suite import CriterionResult
 
@@ -40,6 +41,8 @@ def test_classify_json(runner, graph_file):
     assert rep["results"]["generalized_caterpillar"] is True
     assert rep["results"]["weakly_closed"] is False
     assert "seconds" in rep and "kernel" in rep
+    assert rep["rational"] == RATIONAL_BACKEND == type(QQ.one).__module__
+    assert rep["rational"] in ("gmpy2", "fractions")
 
 
 def test_gb_with_check(runner, graph_file):

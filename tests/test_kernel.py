@@ -7,10 +7,12 @@ so the checkout stays untouched and an unbuilt source tree still runs the
 pure-Python kernel.
 """
 
+import heapq
 import importlib.machinery
 import importlib.util
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -27,6 +29,8 @@ from bel.errors import SizeLimitError
 from bel.fields import QQ
 from bel.graphs import Graph, net_graph
 from bel.rings import RingContext
+
+from conftest import oracle_update_pairs
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -231,9 +235,9 @@ def test_normal_form_memo_matches_fresh():
     # the same tuple with another nvars is packed afresh, so its 6-entry
     # exponent vectors fail to pack for 8 variables, as on a fresh packing
     wide = tuple((m + (0, 0), c) for m, c in probe)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="length 6, expected 8"):
         _fresh_normal_form(wide, gb, R.nvars + 2)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="length 6, expected 8"):
         _kernel_py.normal_form(wide, gb, R.nvars + 2)
 
 
@@ -314,3 +318,62 @@ def test_pure_python_exponent_limit():
     top = y1 ** (2 ** 15 - 1)
     assert _kernel_py.normal_form((x1 * y1 ** 16383).terms, [(x1 - y1 ** 16384).terms], R.nvars) == list(top.terms)
     assert _kernel_py.buchberger([(top - y2).terms], R.nvars) == [list((top - y2).terms)]
+
+
+def test_pure_python_wrong_length_exponents():
+    """An exponent vector that does not fit the ring's layout is a
+    ValueError, not the SizeLimitError of an exponent above the limit."""
+    R = RingContext.for_graph(2, QQ)
+    f, g = (R.x(1) * R.y(2)).terms, (R.x(1) - R.y(1)).terms
+    with pytest.raises(ValueError, match="length 4, expected 6") as exc:
+        _kernel_py.normal_form(f, [g], 6)
+    assert not isinstance(exc.value, SizeLimitError)
+
+
+def _check_update(lms, heap, guards):
+    """One _update_pairs step against the set-based oracle; returns the heap."""
+    j = len(lms) - 1
+    expected = oracle_update_pairs(lms, {(a, b) for _, a, b in heap}, j, guards)
+    got = _kernel_py._update_pairs(lms, list(heap), guards)
+    assert sorted((a, b) for _, a, b in got) == sorted(expected)
+    assert all(L == _kernel_py._lcm(lms[a], lms[b], guards) for L, a, b in got)
+    assert all(got[(k - 1) // 2] <= got[k] for k in range(1, len(got)))
+    return got
+
+
+def test_update_pairs_matches_oracle():
+    """The (lcm, a, b) pair heap holds exactly the pairs of the set-based
+    Gebauer-Moeller update, each with its own lcm, on the states met while
+    computing the net's J^2 and on seeded random leading-monomial runs."""
+    J2 = binomial_edge_ideal(net_graph()).power(2)
+    nvars = J2.ring.nvars
+    guards = _kernel_py._layout(nvars)[1]
+    states = []
+    update = _kernel_py._update_pairs
+
+    def record(lms, pairs, guards):
+        states.append((list(lms), list(pairs)))
+        return update(lms, pairs, guards)
+
+    _kernel_py._update_pairs = record
+    try:
+        _kernel_py.buchberger([g.terms for g in J2.gens], nvars)
+    finally:
+        _kernel_py._update_pairs = update
+    assert len(states) > 100 and max(len(p) for _, p in states) > 50
+    for lms, heap in states:
+        _check_update(lms, heap, guards)
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        nvars = rng.randint(3, 6)
+        st, guards = _kernel_py._layout(nvars)
+        lms, heap = [], []
+        for _ in range(60):
+            m = _kernel_py._pack([rng.randint(0, 4) for _ in range(nvars)], st)
+            if any(_kernel_py._divides(lm, m, guards) for lm in lms):
+                continue  # a new remainder's lm is divisible by no earlier one
+            lms.append(m)
+            heap = _check_update(lms, heap, guards)
+            for _ in range(min(rng.randint(0, 2), len(heap))):
+                heapq.heappop(heap)

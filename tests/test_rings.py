@@ -64,6 +64,14 @@ def test_from_terms_canonicalizes(R):
     assert R.from_terms([(m1, QQ.zero)]).is_zero
 
 
+def test_from_terms_rejects_malformed_monomials(R):
+    one = QQ.one
+    with pytest.raises(ValueError, match="negative exponent"):
+        R.from_terms([((1, -1, 0, 0, 0, 0), one), ((0, 1, 0, 0, 0, 0), one)])
+    with pytest.raises(ValueError, match="length"):
+        R.from_terms([((1, 0, 0), one)])
+
+
 def test_elimination_ring_round_trip(R):
     ext = R.with_elimination(1)
     assert ext.nvars == R.nvars + 1
