@@ -11,6 +11,16 @@ raises SizeLimitError.  So one guard bit per field is free and
 
 Polynomials cross the kernel boundary as lists of (exponent_tuple, coeff)
 pairs; coefficients are opaque field elements (see bel.fields).
+
+Buchberger selects pairs by the sugar strategy (Giovini, Mora, Niesi,
+Robbiano, Traverso 1991): an input generator's sugar is its maximal total
+degree, a remainder takes the sugar of its pair, and the pair of a and b
+has sugar max(s_a - deg lm_a, s_b - deg lm_b) + deg lcm(lm_a, lm_b).
+Pending pairs are reduced in ascending (sugar, lcm, a, b) order.  The
+Gebauer-Moeller criteria B_k, M and F that prune pairs do not depend on
+the order in which pairs are selected, and the reduced Groebner basis of
+an ideal is unique, so the strategy changes only how many S-polynomials
+are reduced, never the output.
 """
 
 from __future__ import annotations
@@ -103,8 +113,9 @@ def _reduce_full(terms, basis, guards):
         c = coeffs.pop(m, None)
         if c is None or not c:
             continue
+        mg = m + guards
         for lm, lc, tail in basis:
-            if _divides(lm, m, guards):
+            if (mg - lm) & guards == guards:  # _divides(lm, m), inlined
                 q = m - lm
                 s = c / lc
                 for tm, tc in tail:
@@ -171,47 +182,88 @@ def _autoreduce(polys, guards):
     return out
 
 
-def _update_pairs(lms, pairs, guards):
-    """Gebauer-Moeller update of the (lcm, a, b) pair heap after appending
-    leading monomial j = len(lms) - 1; returns the new heap."""
+def _degree(m: int) -> int:
+    """Total degree of a packed monomial."""
+    d = 0
+    while m:
+        d += m & _FIELD_MASK
+        m >>= _FIELD_BITS
+    return d
+
+
+def _update_pairs(lms, sugars, pairs, guards, stats=None):
+    """Gebauer-Moeller update of the (sugar, lcm, a, b) pair heap after
+    appending leading monomial j = len(lms) - 1 with sugar sugars[j];
+    returns the new heap.  A new pair (a, j) has the sugar
+    max(sugars[a] - deg lm_a, sugars[j] - deg lm_j) + deg lcm."""
     j = len(lms) - 1
     lmj = lms[j]
     lj = [_lcm(m, lmj, guards) for m in lms[:j]]  # lcm(lm_i, lm_j), each once
-    # B_k on the stored lcm L of (L, a, b): drop if lm_j | L and L != lj[a], lj[b]
+    # B_k on the stored lcm L of (s, L, a, b): drop if lm_j | L and L != lj[a], lj[b]
+    lg = guards - lmj
     heap = [p for p in pairs
-            if not _divides(lmj, p[0], guards) or p[0] == lj[p[1]] or p[0] == lj[p[2]]]
+            if (p[1] + lg) & guards != guards or p[1] == lj[p[2]] or p[1] == lj[p[3]]]
     by_lcm: dict[int, list] = {}
     for i, L in enumerate(lj):
         by_lcm.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(by_lcm):
-        if all(not _divides(M, L, guards) for M in minimal):
+        Lg = L + guards
+        for M in minimal:
+            if (Lg - M) & guards == guards:  # M | L
+                break
+        else:
             minimal.append(L)
+    ej = sugars[j] - _degree(lmj)
+    new, coprime = [], 0
     for L in minimal:
-        if any(L == lms[i] + lmj for i in by_lcm[L]):
+        group = by_lcm[L]
+        if any(L == lms[i] + lmj for i in group):
+            coprime += len(group)
             continue  # coprime leading terms: s-poly reduces to zero
-        heap.append((L, min(by_lcm[L]), j))
-    heapq.heapify(heap)
+        a = group[0]
+        new.append((max(sugars[a] - _degree(lms[a]), ej) + _degree(L), L, a, j))
+    if stats is not None:
+        stats["pairs"] += j
+        stats["pruned_bk"] += len(pairs) - len(heap)
+        stats["pruned_m"] += j - coprime - len(new)
+        stats["pruned_f"] += coprime
+    if len(heap) < len(pairs):
+        heap += new
+        heapq.heapify(heap)
+    else:
+        for pair in new:
+            heapq.heappush(heap, pair)
     return heap
 
 
-def _buchberger_packed(gens, guards):
-    G, lms, reducers, pairs = [], [], [], []
-    # the generators, then each nonzero remainder, join through one update;
-    # pairs are reduced in ascending (lcm, a, b) order
-    todo = _autoreduce(gens, guards)[::-1]
+_STATS = ("pairs", "pruned_bk", "pruned_m", "pruned_f", "reduced", "zero", "basis_peak")
+
+
+def _buchberger_packed(gens, guards, stats=None):
+    G, lms, sugars, reducers, pairs = [], [], [], [], []
+    # the generators, each with its maximal total degree as sugar, then
+    # each nonzero remainder with the sugar of its pair, join through one
+    # update; pairs are reduced in ascending (sugar, lcm, a, b) order
+    todo = [(g, max(_degree(m) for m, _ in g)) for g in _autoreduce(gens, guards)[::-1]]
     while todo or pairs:
         if todo:
-            r = todo.pop()
+            r, s = todo.pop()
             G.append(r)
             lms.append(r[0][0])
+            sugars.append(s)
             reducers.append(_prep(r))
-            pairs = _update_pairs(lms, pairs, guards)
+            pairs = _update_pairs(lms, sugars, pairs, guards, stats)
             continue
-        lcm, a, b = heapq.heappop(pairs)
+        s, lcm, a, b = heapq.heappop(pairs)
         r = _reduce_full(_spoly(G[a], G[b], lcm, guards), reducers, guards)
+        if stats is not None:
+            stats["reduced"] += 1
+            stats["zero"] += not r
         if r:
-            todo.append(_monic(r))
+            todo.append((_monic(r), s))
+    if stats is not None:
+        stats["basis_peak"] = len(G)
 
     # minimal basis (distinct leading monomials, none dividing another); a
     # term of g is divisible only by smaller leading monomials, so one sweep
@@ -223,18 +275,31 @@ def _buchberger_packed(gens, guards):
     return _autoreduce(basis, guards)[::-1]
 
 
-def buchberger(gens, nvars):
+def buchberger(gens, nvars, stats=None):
     """Canonical reduced Groebner basis under the packed lex order.
 
     Input/output polynomials are lists of (exponent_tuple, coeff); output
     elements are monic, fully interreduced, term-sorted descending, and the
     basis is sorted by leading monomial descending.
+
+    If stats is a dict, the call adds its counters to it, so one dict can
+    total several calls: "pairs" (pairs (i, j) formed as each element j
+    joins), "pruned_bk", "pruned_m" and "pruned_f" (pairs dropped by the
+    Gebauer-Moeller B_k rule, by M, which also keeps one pair per minimal
+    lcm, and by F, a coprime pair in the lcm's group), "reduced"
+    (S-polynomials reduced), "zero" (those that reduced to zero); and
+    "basis_peak" becomes at least the largest basis the call held.
     """
     st, guards = _layout(nvars)
     packed = [p for p in (_to_packed(g, st) for g in gens) if p]
     if not packed:
         return []
-    gb = _buchberger_packed(packed, guards)
+    counts = None if stats is None else dict.fromkeys(_STATS, 0)
+    gb = _buchberger_packed(packed, guards, counts)
+    if counts is not None:
+        for key, n in counts.items():
+            old = stats.get(key, 0)
+            stats[key] = max(old, n) if key == "basis_peak" else old + n
     return [_to_pairs(g, st) for g in gb]
 
 

@@ -3,6 +3,8 @@ implementations they cross-check."""
 
 from __future__ import annotations
 
+import struct
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -155,21 +157,28 @@ def oracle_minimal_primes(G: Graph) -> list:
     return out
 
 
-def oracle_update_pairs(lms, pairs, j, guards) -> set:
-    """Gebauer-Moeller pair update kept as a set of (a, b) index pairs,
-    every lcm recomputed where it is used: pairs is the pending set before
-    generator j joined, lms the leading monomials packed as in the
-    pure-Python kernel."""
+def oracle_update_pairs(lms, sugars, pairs, j, guards) -> dict:
+    """Gebauer-Moeller pair update kept as a dict from (a, b) index pairs to
+    their sugars, every lcm recomputed where it is used: pairs is the
+    pending dict before generator j joined, lms the leading monomials packed
+    as in the pure-Python kernel and sugars their sugars.  A new pair (a, j)
+    gets max(sugars[a] - deg lm_a, sugars[j] - deg lm_j) + deg lcm, each
+    total degree summed over the unpacked exponent vector."""
     from bel._kernel_py import _divides, _lcm
 
+    nvars = guards.bit_length() // 16
+
+    def degree(m):
+        return sum(struct.unpack(">%dh" % nvars, m.to_bytes(2 * nvars, "big")))
+
     lmj = lms[j]
-    kept = set()
-    for (a, b) in pairs:
+    kept = {}
+    for (a, b), sugar in pairs.items():
         lab = _lcm(lms[a], lms[b], guards)
         if (not _divides(lmj, lab, guards)
                 or lab == _lcm(lms[a], lmj, guards)
                 or lab == _lcm(lms[b], lmj, guards)):
-            kept.add((a, b))
+            kept[a, b] = sugar
     by_lcm: dict = {}
     for i in range(j):
         by_lcm.setdefault(_lcm(lms[i], lmj, guards), []).append(i)
@@ -180,5 +189,81 @@ def oracle_update_pairs(lms, pairs, j, guards) -> set:
     for L in minimal:
         if any(_lcm(lms[i], lmj, guards) == lms[i] + lmj for i in by_lcm[L]):
             continue
-        kept.add((min(by_lcm[L]), j))
+        a = min(by_lcm[L])
+        kept[a, j] = max(sugars[a] - degree(lms[a]), sugars[j] - degree(lmj)) + degree(L)
     return kept
+
+
+def oracle_buchberger(gens) -> list:
+    """Reduced lex Groebner basis by the textbook Buchberger algorithm.
+
+    Polynomials are dicts from exponent tuples to Fractions; the first
+    variable is the most significant, so tuple order is the lex order.
+    Every S-pair is reduced, with no criterion and no packing, and the
+    final basis is made minimal, reduced and monic.  gens and the result
+    are lists of (exponent_tuple, coeff) pairs, the result's terms and
+    elements sorted descending."""
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def shift(f, q, s):
+        return {tuple(x + y for x, y in zip(m, q)): s * c for m, c in f.items()}
+
+    def minus(f, g):
+        out = dict(f)
+        for m, c in g.items():
+            v = out.get(m, 0) - c
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+        return out
+
+    def reduce(f, basis):
+        f, rest = dict(f), {}
+        while f:
+            m = max(f)
+            for g in basis:
+                lm = max(g)
+                if divides(lm, m):
+                    q = tuple(x - y for x, y in zip(m, lm))
+                    f = minus(f, shift(g, q, f[m] / g[lm]))
+                    break
+            else:
+                rest[m] = f.pop(m)
+        return rest
+
+    def spoly(f, g):
+        lf, lg = max(f), max(g)
+        lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+        return minus(shift(f, tuple(x - y for x, y in zip(lcm, lf)), 1 / f[lf]),
+                     shift(g, tuple(x - y for x, y in zip(lcm, lg)), 1 / g[lg]))
+
+    G = []
+    for poly in gens:
+        f = {}
+        for m, c in poly:
+            f[tuple(m)] = f.get(tuple(m), 0) + Fraction(c.numerator, c.denominator)
+        f = {m: c for m, c in f.items() if c}
+        if f:
+            G.append(f)
+    todo = list(combinations(range(len(G)), 2))
+    while todo:
+        i, j = todo.pop()
+        r = reduce(spoly(G[i], G[j]), G)
+        if r:
+            todo += [(k, len(G)) for k in range(len(G))]
+            G.append(r)
+    # minimal: drop g_k when another leading monomial divides lm_k
+    # strictly, or an earlier element has the same leading monomial
+    lms = [max(g) for g in G]
+    minimal = [g for k, g in enumerate(G)
+               if not any(divides(lm, lms[k]) and (lm != lms[k] or i < k)
+                          for i, lm in enumerate(lms) if i != k)]
+    out = []
+    for k, g in enumerate(minimal):
+        r = reduce(g, minimal[:k] + minimal[k + 1:])
+        lc = r[max(r)]
+        out.append(sorted(((m, c / lc) for m, c in r.items()), reverse=True))
+    return sorted(out, reverse=True)

@@ -1,28 +1,14 @@
-"""Kernel-level tests: both implementations (compiled and pure Python)
-must produce bit-identical canonical bases.
-
-The compiled kernel is built once per session by the project's own build
-(``setup.py build_ext``) on a copy of the sources in a temporary directory,
-so the checkout stays untouched and an unbuilt source tree still runs the
-pure-Python kernel.
-"""
+"""Kernel-level tests: the pure-Python kernel against independent
+oracles (a textbook Buchberger, a dict-based pair update) and its own
+invariants."""
 
 import heapq
-import importlib.machinery
-import importlib.util
-import json
-import os
 import random
-import re
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
-from bel import _kernel_py, kernel
+from bel import _kernel_py, corpus, kernel
 from bel.bei import binomial_edge_ideal
 from bel.decomp import minimal_primes
 from bel.errors import SizeLimitError
@@ -30,103 +16,18 @@ from bel.fields import QQ
 from bel.graphs import Graph, net_graph
 from bel.rings import RingContext
 
-from conftest import oracle_update_pairs
+from conftest import oracle_buchberger, oracle_update_pairs
 
 
-ROOT = Path(__file__).resolve().parents[1]
-BEL_SRC = ROOT / "src" / "bel"
-
-
-def _can_compile():
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    headers = Path(sysconfig.get_paths()["include"], "Python.h")
-    return shutil.which(cc.split()[0]) is not None and headers.exists()
-
-
-needs_compiler = pytest.mark.skipif(
-    not _can_compile(), reason="no C compiler or Python.h to build bel._kernel_c"
-)
-
-
-@pytest.fixture(scope="session")
-def build(tmp_path_factory):
-    """Run ``setup.py build_ext`` on a copy of setup.py, pyproject.toml and
-    src/.  Returns the built bel._kernel_c module (None when the build made
-    none) and the build log."""
-    root = tmp_path_factory.mktemp("build")
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(ROOT / name, root)
-    shutil.copytree(ROOT / "src", root / "src")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", "lib", "--build-temp", "tmp"],
-        cwd=root, capture_output=True, text=True, timeout=600,
-    )
-    log = proc.stdout + proc.stderr
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = root / "lib" / "bel" / f"_kernel_c{suffix}"
-        if path.exists():
-            spec = importlib.util.spec_from_file_location("bel._kernel_c", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module, log
-    return None, log
-
-
-@pytest.fixture(scope="session")
-def compiled(build):
-    module, log = build
-    assert module is not None, f"setup.py build_ext built no bel._kernel_c:\n{log}"
-    return module
-
-
-@pytest.fixture(params=["python", pytest.param("cython", marks=needs_compiler)])
+@pytest.fixture(params=[kernel.KERNEL_NAME])
 def impl(request):
-    if request.param == "python":
-        return _kernel_py
-    return request.getfixturevalue("compiled")
+    """The kernel the package selects, named in the test id."""
+    return kernel
 
 
 def test_kernel_name_matches_selected_module():
-    expected = {"bel._kernel_py": "python", "bel._kernel_c": "cython"}
-    assert kernel.KERNEL_NAME == expected[kernel.buchberger.__module__]
-
-
-@needs_compiler
-def test_compiled_kernel_available(build):
-    # the build compiles the extension; if it silently builds nothing the
-    # installed package degrades to the pure-Python kernel, which this test
-    # is meant to catch
-    module, log = build
-    assert module is not None, f"setup.py build_ext built no bel._kernel_c:\n{log}"
-    assert module.KERNEL_NAME == "cython"
-    for gens, nvars in _edge_systems():
-        assert module.buchberger(gens, nvars) == _kernel_py.buchberger(gens, nvars)
-
-
-def test_generated_c_matches_pyx():
-    """The committed _kernel_c.c was generated from the committed .pyx:
-    every source block Cython quotes in the .c equals the matching .pyx
-    lines, so an edit of the .pyx without regenerating the .c fails here."""
-    pyx = (BEL_SRC / "_kernel_c.pyx").read_text().splitlines()
-    c = (BEL_SRC / "_kernel_c.c").read_text()
-    meta = re.search(r"/\* BEGIN: Cython Metadata\n(.*?)\nEND: Cython Metadata \*/", c, re.S)
-    assert json.loads(meta.group(1))["distutils"]["sources"] == ["src/bel/_kernel_c.pyx"]
-    marker = "             # <<<<<<<<<<<<<<"
-    blocks = re.findall(r'/\* "bel/_kernel_c\.pyx":(\d+)\n((?: \*.*\n)*)\*/', c)
-    assert blocks
-    for lineno, body in blocks:
-        # each quoted line is " * " + the source line; the marked line is
-        # `lineno`, with up to two lines of context on either side
-        quoted = [line[3:] for line in body.splitlines()]
-        (k,) = [i for i, line in enumerate(quoted) if line.endswith(marker)]
-        quoted[k] = quoted[k][: -len(marker)]
-        first = int(lineno) - 1 - k
-        assert first >= 0
-        source = [line.rstrip() for line in pyx[first:first + len(quoted)]]
-        assert [line.rstrip() for line in quoted] == source, (
-            f"_kernel_c.c quotes stale source at _kernel_c.pyx:{lineno}"
-        )
+    assert kernel.buchberger.__module__ == "bel._kernel_py"
+    assert kernel.KERNEL_NAME == "python"
 
 
 def _edge_systems():
@@ -147,34 +48,6 @@ def test_buchberger_idempotent(impl):
     for gens, nvars in _edge_systems():
         gb = impl.buchberger(gens, nvars)
         assert impl.buchberger(gb, nvars) == gb
-
-
-def _larger_systems(monkeypatch):
-    """J_G for path(6), cycle(6), star(5), complete(5) and the net, the
-    square of the net's ideal, and the w-extended system that the fourth
-    step of the net's t=2 symbolic-power fold hands the kernel."""
-    for G in (Graph.path(6), Graph.cycle(6), Graph.star(5), Graph.complete(5), net_graph()):
-        I = binomial_edge_ideal(G)
-        yield [g.terms for g in I.gens], I.ring.nvars
-    I = binomial_edge_ideal(net_graph()).power(2)
-    yield [g.terms for g in I.gens], I.ring.nvars
-    primes = minimal_primes(net_graph(), method="cutpoint")
-    powers = sorted((pc.ideal.power(2) for pc in primes), key=lambda I: len(I.gens))
-    acc = powers[0]
-    for J in powers[1:4]:
-        acc = acc.intersect(J)
-    captured = []
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "buchberger", lambda gens, nvars: captured.append((gens, nvars)) or [])
-        acc.intersect(powers[4])
-    (system,) = captured
-    yield system
-
-
-@needs_compiler
-def test_kernel_parity_buchberger(compiled, monkeypatch):
-    for gens, nvars in [*_edge_systems(), *_larger_systems(monkeypatch)]:
-        assert compiled.buchberger(gens, nvars) == _kernel_py.buchberger(gens, nvars)
 
 
 def _fresh_normal_form(f, basis, nvars):
@@ -239,24 +112,6 @@ def test_normal_form_memo_matches_fresh():
         _fresh_normal_form(wide, gb, R.nvars + 2)
     with pytest.raises(ValueError, match="length 6, expected 8"):
         _kernel_py.normal_form(wide, gb, R.nvars + 2)
-
-
-@needs_compiler
-def test_kernel_parity_normal_form_and_interreduce(compiled):
-    # the compiled kernel does not read nvars, so the nvars case is not run
-    # here; every other call order must give the pure-Python results
-    for got, want in _memo_calls(compiled.normal_form):
-        assert got == want
-    for gens, nvars in _edge_systems():
-        gb = _kernel_py.buchberger(gens, nvars)
-        probe = gens[0]
-        assert compiled.normal_form(probe, gb, nvars) == _kernel_py.normal_form(probe, gb, nvars)
-        # x1^2 + gens[0] lies outside the ideal, so its remainder is non-zero
-        outside = (((2,) + (0,) * (nvars - 1), QQ.from_int(1)),) + tuple(gens[0])
-        remainder = _kernel_py.normal_form(outside, gb, nvars)
-        assert remainder != []
-        assert compiled.normal_form(outside, gb, nvars) == remainder
-        assert compiled.interreduce(gens, nvars) == _kernel_py.interreduce(gens, nvars)
 
 
 def test_normal_form_membership(impl):
@@ -330,50 +185,114 @@ def test_pure_python_wrong_length_exponents():
     assert not isinstance(exc.value, SizeLimitError)
 
 
-def _check_update(lms, heap, guards):
-    """One _update_pairs step against the set-based oracle; returns the heap."""
+def _fold_system(G, t):
+    """The w-extended (gens, nvars) that the first step of G's t-th
+    symbolic-power fold, the intersection of the two P_U^t with the fewest
+    generators, hands the kernel."""
+    primes = minimal_primes(G, method="cutpoint")
+    powers = sorted((pc.ideal.power(t) for pc in primes), key=lambda I: len(I.gens))
+    captured = []
+    real = kernel.buchberger
+    kernel.buchberger = lambda gens, nvars: captured.append((gens, nvars)) or []
+    try:
+        powers[0].intersect(powers[1])
+    finally:
+        kernel.buchberger = real
+    return captured[0]
+
+
+def test_buchberger_matches_textbook_oracle():
+    """The kernel's reduced basis equals the textbook Buchberger's on J_G
+    for every connected graph with n <= 4, on J_{P_4}^2, and on three
+    non-homogeneous intersection systems."""
+    systems = []
+    for G in corpus.connected_transversal_upto(4):
+        I = binomial_edge_ideal(G)
+        systems.append(([g.terms for g in I.gens], I.ring.nvars))
+    I = binomial_edge_ideal(Graph.path(4)).power(2)
+    systems.append(([g.terms for g in I.gens], I.ring.nvars))
+    systems.append(_fold_system(Graph.from_edges(3, [(1, 2), (1, 3)]), 2))
+    systems.append(_fold_system(Graph.star(3), 1))
+    systems.append(_fold_system(Graph.path(4), 1))
+    for gens, nvars in systems:
+        got = [[(m, Fraction(c.numerator, c.denominator)) for m, c in g]
+               for g in _kernel_py.buchberger(gens, nvars)]
+        assert got == oracle_buchberger(gens)
+
+
+def test_buchberger_stats_consistent():
+    """Every pair formed is pruned by one rule or reduced, every reduction
+    gives zero or a new basis element, the counters change no output, and
+    one dict passed to several calls totals them."""
+    systems = [_fold_system(net_graph(), 2), _fold_system(Graph.from_edges(3, [(1, 2), (1, 3)]), 2)]
+    each, total = [], {}
+    for gens, nvars in systems:
+        stats = {}
+        gb = _kernel_py.buchberger(gens, nvars, stats)
+        assert gb == _kernel_py.buchberger(gens, nvars)
+        peak = stats["basis_peak"]
+        assert stats["pairs"] == peak * (peak - 1) // 2
+        assert stats["pairs"] == (stats["pruned_bk"] + stats["pruned_m"]
+                                  + stats["pruned_f"] + stats["reduced"])
+        insertions = peak - len(_kernel_py.interreduce(gens, nvars))
+        assert stats["reduced"] == stats["zero"] + insertions
+        assert insertions > 0 and peak >= len(gb)
+        _kernel_py.buchberger(gens, nvars, total)
+        each.append(stats)
+    assert total == {key: (max if key == "basis_peak" else sum)(s[key] for s in each)
+                     for key in each[0]}
+    assert all(total.values())
+
+
+def _check_update(lms, sugars, heap, guards):
+    """One _update_pairs step against the dict-based oracle; returns the heap."""
     j = len(lms) - 1
-    expected = oracle_update_pairs(lms, {(a, b) for _, a, b in heap}, j, guards)
-    got = _kernel_py._update_pairs(lms, list(heap), guards)
-    assert sorted((a, b) for _, a, b in got) == sorted(expected)
-    assert all(L == _kernel_py._lcm(lms[a], lms[b], guards) for L, a, b in got)
+    expected = oracle_update_pairs(lms, sugars, {(a, b): s for s, _, a, b in heap}, j, guards)
+    got = _kernel_py._update_pairs(lms, sugars, list(heap), guards)
+    assert sorted((a, b) for _, _, a, b in got) == sorted(expected)
+    assert all(L == _kernel_py._lcm(lms[a], lms[b], guards) for _, L, a, b in got)
+    assert {(a, b): s for s, _, a, b in got} == expected
     assert all(got[(k - 1) // 2] <= got[k] for k in range(1, len(got)))
     return got
 
 
 def test_update_pairs_matches_oracle():
-    """The (lcm, a, b) pair heap holds exactly the pairs of the set-based
-    Gebauer-Moeller update, each with its own lcm, on the states met while
-    computing the net's J^2 and on seeded random leading-monomial runs."""
+    """The (sugar, lcm, a, b) pair heap holds exactly the pairs of the
+    dict-based Gebauer-Moeller update, each with its own lcm and sugar, on
+    the states met while computing the net's J^2 and the first step of its
+    t=2 symbolic-power fold, and on seeded random leading-monomial runs."""
     J2 = binomial_edge_ideal(net_graph()).power(2)
-    nvars = J2.ring.nvars
-    guards = _kernel_py._layout(nvars)[1]
+    # the fold step is not homogeneous, so there sugars exceed degrees
+    systems = [([g.terms for g in J2.gens], J2.ring.nvars), _fold_system(net_graph(), 2)]
     states = []
     update = _kernel_py._update_pairs
 
-    def record(lms, pairs, guards):
-        states.append((list(lms), list(pairs)))
-        return update(lms, pairs, guards)
+    def record(lms, sugars, pairs, guards, stats=None):
+        states.append((list(lms), list(sugars), list(pairs), guards))
+        return update(lms, sugars, pairs, guards, stats)
 
     _kernel_py._update_pairs = record
     try:
-        _kernel_py.buchberger([g.terms for g in J2.gens], nvars)
+        for gens, nvars in systems:
+            _kernel_py.buchberger(gens, nvars)
     finally:
         _kernel_py._update_pairs = update
-    assert len(states) > 100 and max(len(p) for _, p in states) > 50
-    for lms, heap in states:
-        _check_update(lms, heap, guards)
+    assert len(states) > 100 and max(len(p) for _, _, p, _ in states) > 50
+    for lms, sugars, heap, guards in states:
+        _check_update(lms, sugars, heap, guards)
 
     for seed in range(20):
         rng = random.Random(seed)
         nvars = rng.randint(3, 6)
         st, guards = _kernel_py._layout(nvars)
-        lms, heap = [], []
+        lms, sugars, heap = [], [], []
         for _ in range(60):
-            m = _kernel_py._pack([rng.randint(0, 4) for _ in range(nvars)], st)
+            exps = [rng.randint(0, 4) for _ in range(nvars)]
+            m = _kernel_py._pack(exps, st)
             if any(_kernel_py._divides(lm, m, guards) for lm in lms):
                 continue  # a new remainder's lm is divisible by no earlier one
             lms.append(m)
-            heap = _check_update(lms, heap, guards)
+            sugars.append(sum(exps) + rng.randint(0, 3))
+            heap = _check_update(lms, sugars, heap, guards)
             for _ in range(min(rng.randint(0, 2), len(heap))):
                 heapq.heappop(heap)
