@@ -24,6 +24,7 @@ from .decomp import (
     EqualityVerdict,
     PrimeComponent,
     equality_verdict,
+    groebner_verdict,
     minimal_primes,
     prime_component,
     symbolic_power,
@@ -88,6 +89,7 @@ __all__ = [
     "gencat_labeling",
     "graph_ring",
     "groebner_combinatorial",
+    "groebner_verdict",
     "initial_ideal",
     "intersect_all",
     "is_caterpillar",

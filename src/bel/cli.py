@@ -190,11 +190,13 @@ def powers(graph_file, as_json, field_spec, t, max_n):
     except SizeLimitError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_SIZE)
-    results = {"t": t, "equal": v.equal, "witness": str(v.witness) if v.witness else None}
+    results = {"t": t, "equal": v.equal, "witness": str(v.witness) if v.witness else None,
+               "certificate": v.certificate}
     rep = _report("powers", G, results, t0, field)
     _emit(rep, as_json,
           [f"t={t}: ordinary == symbolic: {v.equal}"]
-          + ([f"witness (symbolic, not ordinary): {v.witness}"] if v.witness else []))
+          + ([f"witness (symbolic, not ordinary): {v.witness}"] if v.witness else [])
+          + [f"certificate: {v.certificate}"])
     sys.exit(EXIT_OK if v.equal else EXIT_VERIFICATION)
 
 

@@ -6,6 +6,20 @@ formula: the binomial edge ideal is the intersection of the primes P_U,
 each P_U is a maximal-minor prime whose symbolic and ordinary powers
 agree, so the t-th symbolic power is the intersection of the P_U^t over
 the minimal primes.
+
+The equality verdict is theorem first.  The source paper proves
+J_G^t = J_G^(t) for every t >= 1 when J_G has exactly two associated
+primes and when G is a caterpillar tree; J_G is radical (Herzog, Hibi,
+Hreinsdottir, Kahle, Rauh 2010), so its associated primes are its
+minimal primes.  Both hypotheses are decided combinatorially
+(``graphs.ass_count_is_two``, ``recognizers.is_caterpillar``), and a
+graph meeting one gets ``equal=True`` with the theorem named as its
+certificate, without building any ideal.  Every other graph takes
+``groebner_verdict``, which compares canonical reduced Groebner bases and
+stays the authority that the tests and the suite check the theorems
+against.  The theorem path applies over QQ only: the paper's abstract,
+which is all this project has of it, names no coefficient field, so
+prime fields keep the Groebner route.
 """
 
 from __future__ import annotations
@@ -16,8 +30,9 @@ from itertools import chain, combinations
 from .bei import binomial_edge_ideal, edge_binomial, graph_ring
 from .errors import SizeLimitError
 from .fields import QQ
-from .graphs import Graph, components_within, is_connected
+from .graphs import Graph, ass_count_is_two, components_within, is_connected
 from .ideals import Ideal, intersect_all
+from .recognizers import is_caterpillar
 from .rings import Polynomial
 
 MINIMAL_PRIMES_CAP = 8
@@ -82,6 +97,11 @@ def _inclusion_minimal(comps) -> list:
             if not any(_strictly_inside(q, pc) for q in kept[i + 1:])]
 
 
+def _check_cap(G: Graph, cap: int):
+    if G.n > cap:
+        raise SizeLimitError(f"minimal-prime enumeration capped at n={cap} (2^n subsets)")
+
+
 def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: str = "containment") -> list:
     """All P_U, filtered to the inclusion-minimal ideals.
 
@@ -93,8 +113,7 @@ def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: st
     combinatorial criterion that every vertex of U must disconnect the
     induced graph on the rest plus that vertex.
     """
-    if G.n > cap:
-        raise SizeLimitError(f"minimal-prime enumeration capped at n={cap} (2^n subsets)")
+    _check_cap(G, cap)
     if method == "cutpoint":
         out = []
         for U in _subsets(G.vertices):
@@ -127,6 +146,7 @@ class EqualityVerdict:
     t: int
     equal: bool
     witness: Polynomial | None  # in the symbolic but not the ordinary power
+    certificate: str = "groebner"  # or the theorem that decided it: "ass_two", "caterpillar"
 
     def check_witness(self, ordinary: Ideal, symbolic: Ideal) -> bool:
         if self.equal:
@@ -137,8 +157,25 @@ class EqualityVerdict:
 
 
 def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> EqualityVerdict:
-    """Decide J_G^t = J_G^(t); on inequality, the witness is the first
-    reduced-GB element of the symbolic power outside the ordinary power."""
+    """Decide J_G^t = J_G^(t): by the paper's theorems when G is connected
+    and J_G has two associated primes or G is a caterpillar tree (over QQ
+    only), otherwise by groebner_verdict.  The size cap and t >= 1 are
+    enforced either way."""
+    if t < 1:
+        raise ValueError("power exponent must be >= 1")
+    _check_cap(G, cap)
+    if field == QQ and is_connected(G):
+        if ass_count_is_two(G):
+            return EqualityVerdict(G, t, True, None, "ass_two")
+        if is_caterpillar(G):
+            return EqualityVerdict(G, t, True, None, "caterpillar")
+    return groebner_verdict(G, t, field, cap)
+
+
+def groebner_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> EqualityVerdict:
+    """Decide J_G^t = J_G^(t) by comparing reduced Groebner bases; on
+    inequality, the witness is the first reduced-GB element of the
+    symbolic power outside the ordinary power."""
     ordinary = binomial_edge_ideal(G, field).power(t)
     symbolic = symbolic_power(G, t, field, cap=cap)
     if ordinary.equal(symbolic):

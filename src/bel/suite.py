@@ -15,7 +15,13 @@ import networkx as nx
 from . import corpus
 from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
 from .complexes import delta_of, find_special_odd_cycle
-from .decomp import _subsets, equality_verdict, minimal_primes, prime_component, symbolic_power
+from .decomp import (
+    _subsets,
+    groebner_verdict,
+    minimal_primes,
+    prime_component,
+    symbolic_power,
+)
 from .fields import PrimeField
 from .graphs import Graph, ass_count_is_two, complement, net_graph
 from .ideals import intersect_all
@@ -122,7 +128,7 @@ def criterion_ass_two_powers() -> CriterionResult:
         bad = []
         for G in graphs:
             for t in (2, 3):
-                if not equality_verdict(G, t).equal:
+                if not groebner_verdict(G, t).equal:
                     bad.append((G, t))
         return not bad, f"{len(graphs)} graphs at t=2,3, {len(bad)} inequalities"
 
@@ -137,7 +143,7 @@ def criterion_caterpillars() -> CriterionResult:
         cats = corpus.caterpillars_upto(6)
         problems = []
         for G in cats:
-            if not equality_verdict(G, 2).equal:
+            if not groebner_verdict(G, 2).equal:
                 problems.append(f"t=2 inequality on {sorted(G.edges)}")
             lab = caterpillar_labeling(G)
             H = lab.apply(G)
@@ -146,7 +152,7 @@ def criterion_caterpillars() -> CriterionResult:
             if gb_max_degree(G, lab) > 3:
                 problems.append(f"basis degree > 3 on {sorted(G.edges)}")
         star3 = Graph.star(3)
-        if not equality_verdict(star3, 3).equal:
+        if not groebner_verdict(star3, 3).equal:
             problems.append("3-star t=3 inequality")
         return not problems, f"{len(cats)} caterpillars; " + ("; ".join(problems) or "all good")
 
@@ -158,7 +164,7 @@ def criterion_net_negative() -> CriterionResult:
 
     def run():
         net = net_graph()
-        v = equality_verdict(net, 2)
+        v = groebner_verdict(net, 2)
         if v.equal:
             return False, "net reported equal at t=2"
         w = v.witness
@@ -194,7 +200,7 @@ def criterion_gencat_positive() -> CriterionResult:
             lab = gencat_labeling(G)
             if not is_weakly_closed_with_labeling(G, lab):
                 problems.append(f"labeling failed on {sorted(G.edges)}")
-            if not equality_verdict(G, 2).equal:
+            if not groebner_verdict(G, 2).equal:
                 problems.append(f"t=2 inequality on {sorted(G.edges)}")
         return not problems, f"{len(graphs)} graphs; " + ("; ".join(problems) or "all good")
 
@@ -259,7 +265,7 @@ def criterion_properties() -> CriterionResult:
         # verdict agreement between exact and prime-field coefficients
         Fp = PrimeField(32003)
         for G, t in [(Graph.path(3), 2), (Graph.star(3), 2), (net_graph(), 2)]:
-            if equality_verdict(G, t).equal != equality_verdict(G, t, Fp).equal:
+            if groebner_verdict(G, t).equal != groebner_verdict(G, t, Fp).equal:
                 problems.append(f"field disagreement on {sorted(G.edges)} t={t}")
         return not problems, "; ".join(problems) or "all properties hold"
 

@@ -86,6 +86,21 @@ def test_powers_unequal_exit_code(runner, graph_file):
     assert rep["results"]["witness"]
 
 
+def test_powers_certificate(runner, graph_file):
+    """The powers report names the theorem or the Groebner route that
+    decided it, beside the unchanged keys, in JSON and in text."""
+    for G, cert, code in [(Graph.path(3), "ass_two", 0), (Graph.path(4), "caterpillar", 0),
+                          (net_graph(), "groebner", 1)]:
+        res = runner.invoke(cli.main, ["powers", "--json", graph_file(G)])
+        assert res.exit_code == code
+        results = json.loads(res.output)["results"]
+        assert list(results) == ["t", "equal", "witness", "certificate"]
+        assert results["certificate"] == cert
+        assert (results["t"], results["equal"]) == (2, code == 0)
+    res = runner.invoke(cli.main, ["powers", graph_file(Graph.path(4))])
+    assert res.output.splitlines()[-1] == "certificate: caterpillar"
+
+
 def test_complex_cycles(runner, graph_file):
     res = runner.invoke(
         cli.main, ["complex", "--special-odd-cycles", "--json", graph_file(net_graph())]

@@ -3,20 +3,22 @@ from itertools import combinations
 
 import pytest
 
-from bel import corpus
+from bel import corpus, kernel
 from bel.bei import binomial_edge_ideal
 from bel.decomp import (
     _inclusion_minimal,
     _subsets,
     equality_verdict,
+    groebner_verdict,
     minimal_primes,
     prime_component,
     symbolic_power,
 )
 from bel.errors import SizeLimitError
 from bel.fields import PrimeField
-from bel.graphs import Graph, is_connected, net_graph
+from bel.graphs import Graph, ass_count_is_two, disjoint_union, is_connected, net_graph
 from bel.ideals import intersect_all
+from bel.recognizers import is_caterpillar
 
 from conftest import oracle_minimal_primes
 
@@ -128,3 +130,64 @@ def test_prime_field_verdicts_match():
 def test_prime_component_validates_U():
     with pytest.raises(ValueError):
         prime_component(Graph.path(3), {5})
+
+
+def _theorem(G):
+    """The certificate the paper's theorems give a connected graph, or None."""
+    if ass_count_is_two(G):
+        return "ass_two"
+    return "caterpillar" if is_caterpillar(G) else None
+
+
+def test_theorem_route_agrees_with_groebner(small_transversal):
+    """Every covered connected graph with n <= 5 at t = 2, and n <= 4 at
+    t = 3, gets equality from its theorem and from Groebner."""
+    covered = [G for G in small_transversal if _theorem(G)]
+    cases = [(G, 2) for G in covered] + [(G, 3) for G in covered if G.n <= 4]
+    assert {_theorem(G) for G in covered} == {"ass_two", "caterpillar"}
+    for G, t in cases:
+        v = equality_verdict(G, t)
+        assert (v.equal, v.witness, v.certificate) == (True, None, _theorem(G)), (sorted(G.edges), t)
+        g = groebner_verdict(G, t)
+        assert (g.equal, g.witness, g.certificate) == (True, None, "groebner"), (sorted(G.edges), t)
+
+
+NET_WITNESS = ("x1*x4*x5*y2*y3*y6 - x1*x4*x6*y2*y3*y5 - x2*x4*x5*y1*y3*y6 + x2*x5*x6*y1*y3*y4"
+               " + x3*x4*x6*y1*y2*y5 - x3*x5*x6*y1*y2*y4")
+HOUSE = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def test_verdict_route(monkeypatch):
+    """Covered graphs are decided without a kernel call; the rest, prime
+    fields and disconnected graphs keep the Groebner verdict and witness."""
+    groebner_cases = [
+        (net_graph(), None, False, NET_WITNESS),
+        (HOUSE, None, True, None),
+        (Graph(5, HOUSE.edges | {(1, 2)}), None, True, None),  # the house with a diagonal
+        (Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]), None, True, None),
+        (Graph.complete(4), None, True, None),
+        (disjoint_union(Graph.path(3), Graph.path(3)), None, True, None),
+        (Graph.path(3), PrimeField(32003), True, None),
+    ]
+    for G, field, equal, witness in groebner_cases:
+        v = equality_verdict(G, 2, field) if field else equality_verdict(G, 2)
+        got = (v.equal, str(v.witness) if v.witness else None, v.certificate)
+        assert got == (equal, witness, "groebner"), sorted(G.edges)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called on a covered graph")
+
+    for name in ("buchberger", "normal_form", "interreduce"):
+        monkeypatch.setattr(kernel, name, no_kernel)
+    covered = [(Graph.path(3), "ass_two"), (Graph.star(3), "ass_two"),
+               (Graph(5, Graph.complete(5).edges - {(4, 5)}), "ass_two"),
+               (Graph.path(4), "caterpillar"), (Graph.path(8), "caterpillar"),
+               (Graph.complete(1), "caterpillar")]
+    for G, cert in covered:
+        for t in (1, 2, 5):
+            v = equality_verdict(G, t)
+            assert (v.equal, v.witness, v.certificate) == (True, None, cert), sorted(G.edges)
+    with pytest.raises(ValueError):
+        equality_verdict(Graph.path(3), 0)
+    with pytest.raises(SizeLimitError):
+        equality_verdict(Graph.path(9), 2)
