@@ -24,7 +24,6 @@ from .decomp import (
     EqualityVerdict,
     PrimeComponent,
     equality_verdict,
-    groebner_verdict,
     minimal_primes,
     prime_component,
     symbolic_power,
@@ -89,7 +88,6 @@ __all__ = [
     "gencat_labeling",
     "graph_ring",
     "groebner_combinatorial",
-    "groebner_verdict",
     "initial_ideal",
     "intersect_all",
     "is_caterpillar",

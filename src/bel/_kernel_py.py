@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-from itertools import compress, count
-from operator import eq
 
 from .errors import SizeLimitError
 
@@ -193,18 +191,14 @@ def _degree(m: int) -> int:
     return d
 
 
-def _update_pairs(lms, sugars, pairs, guards, stats=None, redundant=None):
+def _update_pairs(lms, sugars, pairs, guards, stats=None):
     """Gebauer-Moeller update of the (sugar, lcm, a, b) pair heap after
     appending leading monomial j = len(lms) - 1 with sugar sugars[j];
     returns the new heap.  A new pair (a, j) has the sugar
-    max(sugars[a] - deg lm_a, sugars[j] - deg lm_j) + deg lcm.  If
-    redundant is a set, the indices i < j with lm_j | lm_i join it."""
+    max(sugars[a] - deg lm_a, sugars[j] - deg lm_j) + deg lcm."""
     j = len(lms) - 1
     lmj = lms[j]
     lj = [_lcm(m, lmj, guards) for m in lms[:j]]  # lcm(lm_i, lm_j), each once
-    if redundant is not None:
-        # lm_j | lm_i exactly when lcm(lm_i, lm_j) = lm_i
-        redundant.update(compress(count(), map(eq, lj, lms)))
     # B_k on the stored lcm L of (s, L, a, b): drop if lm_j | L and L != lj[a], lj[b]
     lg = guards - lmj
     heap = [p for p in pairs
@@ -248,7 +242,6 @@ _STATS = ("pairs", "pruned_bk", "pruned_m", "pruned_f", "reduced", "zero", "basi
 
 def _buchberger_packed(gens, guards, stats=None):
     G, lms, sugars, reducers, pairs = [], [], [], [], []
-    redundant = set()  # indices of elements some later leading monomial divides
     # the generators, each with its maximal total degree as sugar, then
     # each nonzero remainder with the sugar of its pair, join through one
     # update; pairs are reduced in ascending (sugar, lcm, a, b) order
@@ -260,7 +253,7 @@ def _buchberger_packed(gens, guards, stats=None):
             lms.append(r[0][0])
             sugars.append(s)
             reducers.append(_prep(r))
-            pairs = _update_pairs(lms, sugars, pairs, guards, stats, redundant)
+            pairs = _update_pairs(lms, sugars, pairs, guards, stats)
             continue
         s, lcm, a, b = heapq.heappop(pairs)
         r = _reduce_full(_spoly(G[a], G[b], lcm, guards), reducers, guards)
@@ -272,12 +265,12 @@ def _buchberger_packed(gens, guards, stats=None):
     if stats is not None:
         stats["basis_peak"] = len(G)
 
-    # minimal basis (distinct leading monomials, none dividing another): each
-    # element joined fully reduced, so no earlier leading monomial divides a
-    # later one, and the elements left are those no later one divides.  A
-    # term of g is divisible only by smaller leading monomials, so one sweep
-    # from the smallest up leaves the unique reduced basis
-    return _autoreduce([g for i, g in enumerate(G) if i not in redundant], guards)[::-1]
+    # G is a Groebner basis, so one sweep from the smallest leading monomial
+    # up leaves the unique reduced basis: an element whose leading monomial
+    # a smaller one divides reduces to zero against the results before it
+    # and is dropped, and a term of g is divisible only by smaller leading
+    # monomials
+    return _autoreduce(G, guards)[::-1]
 
 
 def buchberger(gens, nvars, stats=None):

@@ -30,9 +30,9 @@ from itertools import chain, combinations
 from .bei import binomial_edge_ideal, edge_binomial, graph_ring
 from .errors import SizeLimitError
 from .fields import QQ
-from .graphs import Graph, ass_count_is_two, components_within, is_connected
+from .graphs import Graph, ass_two_if_connected, components_within, is_connected
 from .ideals import Ideal, intersect_all
-from .recognizers import is_caterpillar
+from .recognizers import caterpillar_if_tree
 from .rings import Polynomial
 
 MINIMAL_PRIMES_CAP = 8
@@ -165,9 +165,10 @@ def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) 
         raise ValueError("power exponent must be >= 1")
     _check_cap(G, cap)
     if field == QQ and is_connected(G):
-        if ass_count_is_two(G):
+        if ass_two_if_connected(G):
             return EqualityVerdict(G, t, True, None, "ass_two")
-        if is_caterpillar(G):
+        # a connected graph with n - 1 edges is a tree
+        if len(G.edges) == G.n - 1 and caterpillar_if_tree(G):
             return EqualityVerdict(G, t, True, None, "caterpillar")
     return groebner_verdict(G, t, field, cap)
 

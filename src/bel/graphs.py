@@ -142,6 +142,11 @@ def ass_count_is_two(G: Graph) -> bool:
     disconnected and a disjoint union of complete graphs."""
     if not is_connected(G):
         raise ValueError("requires a connected graph")
+    return ass_two_if_connected(G)
+
+
+def ass_two_if_connected(G: Graph) -> bool:
+    """ass_count_is_two for a graph the caller knows is connected."""
     T = dominating_set_T(G)
     if not T:
         return False

@@ -102,8 +102,11 @@ def is_tree(G: Graph) -> bool:
 
 def is_caterpillar(G: Graph) -> bool:
     """Tree whose non-leaf vertices lie on one path."""
-    if not is_tree(G):
-        return False
+    return is_tree(G) and caterpillar_if_tree(G)
+
+
+def caterpillar_if_tree(G: Graph) -> bool:
+    """is_caterpillar for a graph the caller knows is a tree."""
     internal = [v for v in G.vertices if G.degree(v) >= 2]
     if len(internal) <= 1:
         return True

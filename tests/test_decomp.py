@@ -100,7 +100,7 @@ def test_symbolic_equals_ordinary_for_closed_cases():
 
 
 def test_verdict_equal():
-    v = equality_verdict(Graph.path(3), 2)
+    v = groebner_verdict(Graph.path(3), 2)
     assert v.equal and v.witness is None
     assert v.check_witness(
         binomial_edge_ideal(Graph.path(3)).power(2), symbolic_power(Graph.path(3), 2)
@@ -124,7 +124,7 @@ def test_verdict_unequal_net():
 def test_prime_field_verdicts_match():
     F = PrimeField(32003)
     for G in [Graph.path(3), Graph.star(3)]:
-        assert equality_verdict(G, 2, F).equal == equality_verdict(G, 2).equal
+        assert equality_verdict(G, 2, F).equal == groebner_verdict(G, 2).equal
 
 
 def test_prime_component_validates_U():

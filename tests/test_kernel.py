@@ -248,9 +248,7 @@ def _check_update(lms, sugars, heap, guards):
     """One _update_pairs step against the dict-based oracle; returns the heap."""
     j = len(lms) - 1
     expected = oracle_update_pairs(lms, sugars, {(a, b): s for s, _, a, b in heap}, j, guards)
-    redundant = set()
-    got = _kernel_py._update_pairs(lms, sugars, list(heap), guards, None, redundant)
-    assert redundant == {i for i in range(j) if _kernel_py._divides(lms[j], lms[i], guards)}
+    got = _kernel_py._update_pairs(lms, sugars, list(heap), guards)
     assert sorted((a, b) for _, _, a, b in got) == sorted(expected)
     assert all(L == _kernel_py._lcm(lms[a], lms[b], guards) for _, L, a, b in got)
     assert {(a, b): s for s, _, a, b in got} == expected
@@ -269,9 +267,9 @@ def test_update_pairs_matches_oracle():
     states = []
     update = _kernel_py._update_pairs
 
-    def record(lms, sugars, pairs, guards, *rest):
+    def record(lms, sugars, pairs, guards, stats=None):
         states.append((list(lms), list(sugars), list(pairs), guards))
-        return update(lms, sugars, pairs, guards, *rest)
+        return update(lms, sugars, pairs, guards, stats)
 
     _kernel_py._update_pairs = record
     try:
