@@ -70,10 +70,7 @@ def admissible_paths(G: Graph) -> list:
     no earlier path vertex, so it visits exactly the prefixes of
     admissible paths.
     """
-    adj = {v: set() for v in G.vertices}
-    for a, b in G.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = G.adj
     out = []
     for i, j in combinations(G.vertices, 2):
 

@@ -15,10 +15,10 @@ import click
 
 from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
 from .complexes import delta_of, find_special_odd_cycle
-from .decomp import equality_verdict, minimal_primes, symbolic_power
+from .decomp import MINIMAL_PRIMES_CAP, equality_verdict, minimal_primes
 from .errors import SizeLimitError
-from .fields import QQ, RATIONAL_BACKEND, field_from_spec
-from .graphs import Graph, GraphParseError, complement, from_file, net_graph
+from .fields import RATIONAL_BACKEND, field_from_spec
+from .graphs import Graph, GraphParseError, complement, from_file
 from .kernel import KERNEL_NAME
 from .recognizers import (
     find_closed_labeling,
@@ -95,7 +95,7 @@ def classify(graph_file, as_json):
         gencat = is_generalized_caterpillar(G)
         results = {
             "tree": is_tree(G),
-            "caterpillar": is_tree(G) and is_caterpillar(G),
+            "caterpillar": is_caterpillar(G),
             "generalized_caterpillar": gencat is not None,
             "net_free": is_net_free(G),
             "closed": closed is not None,
@@ -146,7 +146,8 @@ def gb(graph_file, as_json, field_spec, check_buchberger):
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--field", "field_spec", default="q", show_default=True)
-@click.option("--max-n", default=8, show_default=True, help="vertex cap for the 2^n subset scan")
+@click.option("--max-n", default=MINIMAL_PRIMES_CAP, show_default=True,
+              help="vertex cap for the 2^n subset scan")
 def primes(graph_file, as_json, field_spec, max_n):
     """Minimal primes of the edge ideal of GRAPH_FILE."""
     t0 = time.perf_counter()
@@ -176,7 +177,7 @@ def primes(graph_file, as_json, field_spec, max_n):
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--t", "t", default=2, show_default=True, help="power to compare")
 @click.option("--field", "field_spec", default="q", show_default=True)
-@click.option("--max-n", default=8, show_default=True)
+@click.option("--max-n", default=MINIMAL_PRIMES_CAP, show_default=True)
 def powers(graph_file, as_json, field_spec, t, max_n):
     """Compare the t-th ordinary and symbolic powers for GRAPH_FILE."""
     t0 = time.perf_counter()

@@ -30,9 +30,9 @@ from itertools import chain, combinations
 from .bei import binomial_edge_ideal, edge_binomial, graph_ring
 from .errors import SizeLimitError
 from .fields import QQ
-from .graphs import Graph, ass_two_if_connected, components_within, is_connected
+from .graphs import Graph, ass_count_is_two, components_within, is_connected
 from .ideals import Ideal, intersect_all
-from .recognizers import caterpillar_if_tree
+from .recognizers import is_caterpillar
 from .rings import Polynomial
 
 MINIMAL_PRIMES_CAP = 8
@@ -82,19 +82,19 @@ def _strictly_inside(q: PrimeComponent, p: PrimeComponent) -> bool:
 
 def _inclusion_minimal(comps) -> list:
     """The components whose ideal has no other one strictly inside it, in
-    input order, whatever that order is.
+    input order; the input must ascend in |U|.
 
-    Pass 1 keeps a component unless an earlier survivor lies strictly
-    inside it; pass 2 drops a survivor that has a later survivor strictly
-    inside it (none does when the input ascends in |U|).  A survivor was
-    already compared with every earlier survivor in pass 1.
+    A component is kept unless an earlier survivor lies strictly inside
+    it, and that one pass suffices.  P_U is homogeneous and its degree-1
+    part is spanned by the variables of U, so P_T inside P_U forces T
+    inside U, and strict containment forces |T| < |U|: a component can
+    only lie strictly inside a later one.
     """
     kept = []
     for pc in comps:
         if not any(_strictly_inside(q, pc) for q in kept):
             kept.append(pc)
-    return [pc for i, pc in enumerate(kept)
-            if not any(_strictly_inside(q, pc) for q in kept[i + 1:])]
+    return kept
 
 
 def _check_cap(G: Graph, cap: int):
@@ -165,10 +165,9 @@ def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) 
         raise ValueError("power exponent must be >= 1")
     _check_cap(G, cap)
     if field == QQ and is_connected(G):
-        if ass_two_if_connected(G):
+        if ass_count_is_two(G):
             return EqualityVerdict(G, t, True, None, "ass_two")
-        # a connected graph with n - 1 edges is a tree
-        if len(G.edges) == G.n - 1 and caterpillar_if_tree(G):
+        if is_caterpillar(G):
             return EqualityVerdict(G, t, True, None, "caterpillar")
     return groebner_verdict(G, t, field, cap)
 

@@ -1,14 +1,16 @@
 """Simple graphs on labeled vertices 1..n and their structural
 decompositions: components, cutpoints, blocks, whiskers, clique joins.
 
-Graphs are immutable; all operations are pure functions.  Decompositions
-are delegated to networkx (standard DFS algorithms); the tests cross-check
-them against brute-force oracles.
+Graphs are immutable; all operations are pure functions.  Every layer
+reads neighbourhoods from ``Graph.adj``, built once per graph, and
+components are a traversal over it.  networkx runs only cutpoints and
+blocks (standard DFS algorithms), cross-checked against brute force.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import networkx as nx
@@ -65,14 +67,23 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and edge(u, v) in self.edges
+    @cached_property
+    def adj(self) -> dict:
+        """Vertex -> frozenset of neighbours; not part of == or hash."""
+        nbrs = {v: set() for v in self.vertices}
+        for a, b in self.edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        return {v: frozenset(s) for v, s in nbrs.items()}
 
-    def neighbors(self, v: int) -> set:
-        return {b if a == v else a for (a, b) in self.edges if v in (a, b)}
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    def neighbors(self, v: int) -> frozenset:
+        return self.adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.adj[v])
 
     def to_networkx(self) -> "nx.Graph":
         g = nx.Graph()
@@ -88,8 +99,7 @@ class Graph:
 
 def connected_components(G: Graph) -> list:
     """Maximal connected vertex sets, ordered by least vertex."""
-    comps = [set(c) for c in nx.connected_components(G.to_networkx())]
-    return sorted(comps, key=min)
+    return components_within(G, G.vertices)
 
 
 def is_connected(G: Graph) -> bool:
@@ -121,19 +131,22 @@ def dominating_set_T(G: Graph) -> set:
     return {v for v in G.vertices if G.degree(v) == G.n - 1}
 
 
-def induced_edges(G: Graph, verts) -> set:
-    vs = set(verts)
-    return {e for e in G.edges if e[0] in vs and e[1] in vs}
-
-
 def components_within(G: Graph, verts) -> list:
     """Connected components of the induced subgraph on verts (original
-    labels), ordered by least vertex."""
-    vs = set(verts)
-    g = nx.Graph()
-    g.add_nodes_from(vs)
-    g.add_edges_from(induced_edges(G, vs))
-    return sorted((set(c) for c in nx.connected_components(g)), key=min)
+    labels), ordered by least vertex (each one grows from its least)."""
+    unseen = set(verts)
+    comps = []
+    for root in sorted(unseen):
+        if root in unseen:
+            unseen.discard(root)
+            comp, stack = {root}, [root]
+            while stack:
+                new = G.adj[stack.pop()] & unseen
+                unseen -= new
+                comp |= new
+                stack.extend(new)
+            comps.append(comp)
+    return comps
 
 
 def ass_count_is_two(G: Graph) -> bool:
@@ -142,11 +155,6 @@ def ass_count_is_two(G: Graph) -> bool:
     disconnected and a disjoint union of complete graphs."""
     if not is_connected(G):
         raise ValueError("requires a connected graph")
-    return ass_two_if_connected(G)
-
-
-def ass_two_if_connected(G: Graph) -> bool:
-    """ass_count_is_two for a graph the caller knows is connected."""
     T = dominating_set_T(G)
     if not T:
         return False

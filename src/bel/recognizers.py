@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import SizeLimitError
 from .graphs import (
     Graph,
@@ -21,7 +19,6 @@ from .graphs import (
     edge,
     is_block_graph,
     is_connected,
-    net_graph,
     relabel,
 )
 
@@ -76,12 +73,11 @@ def _canonical_seq(seq: tuple) -> tuple:
 def simple_paths(G: Graph):
     """All simple paths (including single vertices), one canonical
     direction each, sorted by length descending then lexicographically."""
-    adj = {v: sorted(G.neighbors(v)) for v in G.vertices}
     found = set()
 
     def extend(path, used):
         found.add(_canonical_seq(tuple(path)))
-        for w in adj[path[-1]]:
+        for w in sorted(G.adj[path[-1]]):
             if w not in used:
                 path.append(w)
                 used.add(w)
@@ -97,30 +93,16 @@ def simple_paths(G: Graph):
 # ------------------------------------------------------------- caterpillars
 
 def is_tree(G: Graph) -> bool:
-    return is_connected(G) and len(G.edges) == G.n - 1
+    return len(G.edges) == G.n - 1 and is_connected(G)
 
 
 def is_caterpillar(G: Graph) -> bool:
-    """Tree whose non-leaf vertices lie on one path."""
-    return is_tree(G) and caterpillar_if_tree(G)
-
-
-def caterpillar_if_tree(G: Graph) -> bool:
-    """is_caterpillar for a graph the caller knows is a tree."""
-    internal = [v for v in G.vertices if G.degree(v) >= 2]
-    if len(internal) <= 1:
-        return True
-    iset = set(internal)
-    ecount = 0
-    for v in internal:
-        d = len(G.neighbors(v) & iset)
-        if d > 2:
-            return False
-        ecount += d
-    ecount //= 2
-    if ecount != len(internal) - 1:
-        return False  # induced cycle among internal vertices
-    return True  # connected follows: acyclic subgraph of a tree with n-1 edges
+    """Tree whose non-leaf vertices lie on one path: they span a subtree,
+    which is a path iff none has more than two non-leaf neighbours."""
+    if not is_tree(G):
+        return False
+    internal = {v for v in G.vertices if G.degree(v) >= 2}
+    return all(len(G.adj[v] & internal) <= 2 for v in internal)
 
 
 def central_path(G: Graph) -> VertexPath:
@@ -178,7 +160,7 @@ def is_weakly_closed_with_labeling(G: Graph, lab: Labeling) -> bool:
 def _search_labeling(G: Graph, triple_ok):
     """Backtracking search for a vertex order whose induced labeling
     satisfies a triple-local condition; returns a Labeling or None."""
-    E = G.edges
+    adj = G.adj
     order = []
     used = set()
 
@@ -188,15 +170,7 @@ def _search_labeling(G: Graph, triple_ok):
         for v in G.vertices:
             if v in used:
                 continue
-            ok = True
-            for p in range(len(order)):
-                for q in range(p + 1, len(order)):
-                    if not triple_ok(E, order[p], order[q], v):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(triple_ok(adj, a, b, v) for a, b in combinations(order, 2)):
                 order.append(v)
                 used.add(v)
                 if place():
@@ -210,9 +184,9 @@ def _search_labeling(G: Graph, triple_ok):
     return None
 
 
-def _closed_triple(E, a, b, c):
+def _closed_triple(adj, a, b, c):
     # labels of a < b < c; both directions of the closed condition
-    ab, ac, bc = edge(a, b) in E, edge(a, c) in E, edge(b, c) in E
+    ab, ac, bc = b in adj[a], c in adj[a], c in adj[b]
     if ab and ac and not bc:
         return False
     if ac and bc and not ab:
@@ -220,9 +194,9 @@ def _closed_triple(E, a, b, c):
     return True
 
 
-def _weakly_closed_triple(E, a, b, c):
-    if edge(a, c) in E:
-        return edge(a, b) in E or edge(b, c) in E
+def _weakly_closed_triple(adj, a, b, c):
+    if c in adj[a]:
+        return b in adj[a] or c in adj[b]
     return True
 
 
@@ -260,9 +234,7 @@ def is_comparability(G: Graph) -> bool:
     """True iff G admits a transitive orientation (backtracking over edge
     directions with transitivity propagation)."""
     E = sorted(G.edges)
-    if not E:
-        return True
-    adj = {v: G.neighbors(v) for v in G.vertices}
+    adj = G.adj
 
     def propagate(orient, u, v):
         """Force u->v plus all consequences; returns False on conflict.
@@ -307,18 +279,23 @@ def is_comparability(G: Graph) -> bool:
 # --------------------------------------------------------------- net-free
 
 def is_net_free(G: Graph) -> bool:
-    """No 6-vertex subset induces the net (triangle with three pendants)."""
+    """No 6-vertex subset induces the net (triangle with three pendants).
+
+    A graph on 6 vertices with degrees (1,1,1,3,3,3) is the net, so the
+    induced degrees alone decide.  No two pendants are adjacent: if they
+    were, the other four vertices (one pendant and the three of degree 3)
+    would keep all their edges among themselves, so each degree-3 vertex
+    would be adjacent to that pendant, giving it degree 3.  So each
+    pendant hangs on a degree-3 vertex, and the degree-3 vertices span
+    (9 - 3)/2 = 3 edges among themselves: a triangle, which leaves each
+    of them exactly one pendant.
+    """
     if G.n < 6:
         return True
-    net = net_graph().to_networkx()
-    g = G.to_networkx()
+    adj = G.adj
     for sub in combinations(G.vertices, 6):
-        h = g.subgraph(sub)
-        if h.number_of_edges() != 6:
-            continue
-        if sorted(d for _, d in h.degree()) != [1, 1, 1, 3, 3, 3]:
-            continue
-        if nx.is_isomorphic(h, net):
+        s = frozenset(sub)
+        if sorted(len(adj[v] & s) for v in sub) == [1, 1, 1, 3, 3, 3]:
             return False
     return True
 

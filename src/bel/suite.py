@@ -58,6 +58,20 @@ class CriterionResult:
         }
 
 
+# Criterion names by id, shared by a run and by a skipped --quick entry.
+NAMES = {
+    1: "combinatorial reduced basis matches Buchberger",
+    2: "edge ideal equals the full prime-component intersection",
+    3: "two-associated-primes criterion agrees with minimal primes",
+    4: "two-associated-primes graphs: powers equal at t=2,3",
+    5: "caterpillar trees: equality, no special odd cycles, degree <= 3",
+    6: "net graph: powers differ at t=2 with verified witness",
+    7: "net-free generalized caterpillars: equality at t=2",
+    8: "weak closedness == co-comparability; net-free == weakly closed",
+    9: "property suite: containments, idempotence, field agreement",
+}
+
+
 def _timed(cid, name, fn) -> CriterionResult:
     t0 = time.perf_counter()
     try:
@@ -86,7 +100,7 @@ def criterion_gb_combinatorial(n6_samples: int = 25) -> CriterionResult:
                 bad += 1
         return bad == 0, f"{len(graphs)} graphs checked, {bad} mismatches"
 
-    return _timed(1, "combinatorial reduced basis matches Buchberger", run)
+    return _timed(1, NAMES[1], run)
 
 
 def criterion_decomposition() -> CriterionResult:
@@ -102,7 +116,7 @@ def criterion_decomposition() -> CriterionResult:
                 bad += 1
         return bad == 0, f"{len(graphs)} graphs checked, {bad} mismatches"
 
-    return _timed(2, "edge ideal equals the full prime-component intersection", run)
+    return _timed(2, NAMES[2], run)
 
 
 def criterion_ass_two() -> CriterionResult:
@@ -117,7 +131,7 @@ def criterion_ass_two() -> CriterionResult:
                 bad += 1
         return bad == 0, f"{len(graphs)} graphs checked, {bad} disagreements"
 
-    return _timed(3, "two-associated-primes criterion agrees with minimal primes", run)
+    return _timed(3, NAMES[3], run)
 
 
 def criterion_ass_two_powers() -> CriterionResult:
@@ -132,7 +146,7 @@ def criterion_ass_two_powers() -> CriterionResult:
                     bad.append((G, t))
         return not bad, f"{len(graphs)} graphs at t=2,3, {len(bad)} inequalities"
 
-    return _timed(4, "two-associated-primes graphs: powers equal at t=2,3", run)
+    return _timed(4, NAMES[4], run)
 
 
 def criterion_caterpillars() -> CriterionResult:
@@ -156,7 +170,7 @@ def criterion_caterpillars() -> CriterionResult:
             problems.append("3-star t=3 inequality")
         return not problems, f"{len(cats)} caterpillars; " + ("; ".join(problems) or "all good")
 
-    return _timed(5, "caterpillar trees: equality, no special odd cycles, degree <= 3", run)
+    return _timed(5, NAMES[5], run)
 
 
 def criterion_net_negative() -> CriterionResult:
@@ -186,7 +200,7 @@ def criterion_net_negative() -> CriterionResult:
         ok = route1 and route2
         return ok, f"witness {w}"
 
-    return _timed(6, "net graph: powers differ at t=2 with verified witness", run)
+    return _timed(6, NAMES[6], run)
 
 
 def criterion_gencat_positive() -> CriterionResult:
@@ -204,7 +218,7 @@ def criterion_gencat_positive() -> CriterionResult:
                 problems.append(f"t=2 inequality on {sorted(G.edges)}")
         return not problems, f"{len(graphs)} graphs; " + ("; ".join(problems) or "all good")
 
-    return _timed(7, "net-free generalized caterpillars: equality at t=2", run)
+    return _timed(7, NAMES[7], run)
 
 
 def criterion_weakly_closed_comparability() -> CriterionResult:
@@ -231,7 +245,7 @@ def criterion_weakly_closed_comparability() -> CriterionResult:
             f"{corpus_bad} corpus mismatches; net complement comparability: {not net_ok}"
         )
 
-    return _timed(8, "weak closedness == co-comparability; net-free == weakly closed", run)
+    return _timed(8, NAMES[8], run)
 
 
 def criterion_properties() -> CriterionResult:
@@ -269,7 +283,7 @@ def criterion_properties() -> CriterionResult:
                 problems.append(f"field disagreement on {sorted(G.edges)} t={t}")
         return not problems, "; ".join(problems) or "all properties hold"
 
-    return _timed(9, "property suite: containments, idempotence, field agreement", run)
+    return _timed(9, NAMES[9], run)
 
 
 ALL_CRITERIA = [
@@ -291,8 +305,7 @@ def run_suite(quick: bool = False) -> list:
     results = []
     for cid, fn in enumerate(ALL_CRITERIA, start=1):
         if quick and cid in QUICK_SKIP:
-            name = fn.__doc__.strip().splitlines()[0] if fn.__doc__ else fn.__name__
-            results.append(CriterionResult(cid, name, True, 0.0, "skipped (--quick)", skipped=True))
+            results.append(CriterionResult(cid, NAMES[cid], True, 0.0, "skipped (--quick)", skipped=True))
             continue
         results.append(fn())
     return results

@@ -37,6 +37,17 @@ def oracle_components(G: Graph) -> list:
     return sorted(comps.values(), key=min)
 
 
+def oracle_is_net_free(G: Graph) -> bool:
+    """No 6-vertex subset induces a graph isomorphic to the net (a
+    triangle with one pendant at each corner), by networkx isomorphism."""
+    import networkx as nx
+
+    net = nx.Graph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)])
+    g = G.to_networkx()
+    return not any(nx.is_isomorphic(g.subgraph(sub), net)
+                   for sub in combinations(G.vertices, 6))
+
+
 def oracle_cutpoints(G: Graph) -> set:
     """A vertex is a cutpoint iff deleting it increases the number of
     components of its own component."""

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from bel import corpus
@@ -21,7 +23,7 @@ from bel.graphs import (
     relabel,
     to_text,
 )
-from conftest import oracle_blocks, oracle_components, oracle_cutpoints
+from conftest import _induced, oracle_blocks, oracle_components, oracle_cutpoints
 
 
 def test_constructors():
@@ -50,6 +52,17 @@ def test_basic_queries():
     assert G.has_edge(2, 1) and not G.has_edge(1, 3)
 
 
+def test_adjacency_is_frozen_and_outside_equality():
+    G = Graph.from_edges(4, [(1, 2), (2, 3)])
+    with pytest.raises(AttributeError):
+        G.neighbors(2).add(4)
+    assert G.adj == {1: {2}, 2: {1, 3}, 3: {2}, 4: set()}
+    fresh = Graph(4, G.edges)
+    assert "adj" not in vars(fresh)
+    assert G == fresh and hash(G) == hash(fresh)
+    assert {G: "built"}[fresh] == "built"
+
+
 def test_net_graph_shape():
     net = net_graph()
     assert net.n == 6
@@ -73,6 +86,23 @@ def test_structure_against_oracles():
 def test_components_within():
     G = Graph.from_edges(5, [(1, 2), (2, 3), (4, 5)])
     assert components_within(G, {1, 3, 4, 5}) == [{1}, {3}, {4, 5}]
+
+
+def test_components_within_against_oracle():
+    """Every vertex subset of every graph with n <= 5, up to isomorphism:
+    the oracle runs on the induced subgraph, whose labels keep the order
+    of the original ones."""
+    checked = 0
+    for n in range(1, 6):
+        for G in corpus.transversal(corpus.all_graphs(n)):
+            assert components_within(G, ()) == []
+            for r in range(1, n + 1):
+                for verts in combinations(G.vertices, r):
+                    want = [{verts[i - 1] for i in c}
+                            for c in oracle_components(_induced(G, verts))]
+                    assert components_within(G, verts) == want, (sorted(G.edges), verts)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_dominating_set():

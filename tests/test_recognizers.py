@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from bel import corpus
@@ -21,7 +22,7 @@ from bel.recognizers import (
     is_weakly_closed_with_labeling,
     simple_paths,
 )
-from conftest import oracle_is_comparability
+from conftest import oracle_is_comparability, oracle_is_net_free
 
 
 def spider_222() -> Graph:
@@ -116,6 +117,21 @@ def test_net_free():
     assert is_net_free(Graph.path(5))
     # net plus an isolated vertex still contains an induced net
     assert not is_net_free(disjoint_union(net_graph(), Graph.empty(1)))
+
+
+def test_net_free_against_isomorphism_oracle():
+    """Every graph with n <= 6 up to isomorphism (the networkx atlas), and
+    the net plus a seventh vertex with every possible neighbourhood, which
+    covers the isolated vertex and a whisker at each corner or pendant."""
+    graphs = [Graph.from_edges(g.number_of_nodes(), [(a + 1, b + 1) for a, b in g.edges])
+              for g in nx.graph_atlas_g()[1:] if g.number_of_nodes() <= 6]
+    net = net_graph()
+    for mask in range(1 << 6):
+        extra = [(v, 7) for v in net.vertices if mask >> (v - 1) & 1]
+        graphs.append(Graph(7, net.edges | Graph.from_edges(7, extra).edges))
+    assert sum(not oracle_is_net_free(G) for G in graphs) > 64
+    for G in graphs:
+        assert is_net_free(G) == oracle_is_net_free(G), sorted(G.edges)
 
 
 def test_gencat_examples():

@@ -39,3 +39,17 @@ def test_timed_catches_exceptions():
 
     r = suite._timed(9, "explodes", boom)
     assert not r.passed and "kaput" in r.detail
+
+
+def test_quick_skip_carries_the_full_run_name(monkeypatch):
+    full = suite.criterion_net_negative()
+
+    def stub():
+        return CriterionResult(0, "stub", True, 0.0)
+
+    monkeypatch.setattr(suite, "ALL_CRITERIA",
+                        [fn if fn is suite.criterion_net_negative else stub
+                         for fn in suite.ALL_CRITERIA])
+    quick = suite.run_suite(quick=True)
+    assert quick[5].skipped
+    assert quick[5].name == full.name == "net graph: powers differ at t=2 with verified witness"
