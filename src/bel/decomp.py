@@ -75,24 +75,22 @@ def _subsets(vertices):
     return chain.from_iterable(combinations(vs, r) for r in range(len(vs) + 1))
 
 
-def _strictly_inside(q: PrimeComponent, p: PrimeComponent) -> bool:
-    """q's ideal is strictly inside p's, decided by Groebner membership."""
-    return p.ideal.contains_ideal(q.ideal) and not q.ideal.contains_ideal(p.ideal)
-
-
 def _inclusion_minimal(comps) -> list:
     """The components whose ideal has no other one strictly inside it, in
     input order; the input must ascend in |U|.
 
-    A component is kept unless an earlier survivor lies strictly inside
-    it, and that one pass suffices.  P_U is homogeneous and its degree-1
-    part is spanned by the variables of U, so P_T inside P_U forces T
-    inside U, and strict containment forces |T| < |U|: a component can
-    only lie strictly inside a later one.
+    A component is kept unless the ideal of an earlier survivor lies
+    inside it, decided by Groebner membership, and that one pass suffices.
+    P_U is homogeneous and its degree-1 part is spanned by the variables
+    of U, so P_T inside P_U forces T inside U, and strict containment
+    forces |T| < |U|: a component can only lie strictly inside a later
+    one.  The same lemma makes every containment found here strict: a
+    survivor P_T met before P_U has |T| <= |U| and T != U, so P_U inside
+    P_T would force U inside T, which is impossible.
     """
     kept = []
     for pc in comps:
-        if not any(_strictly_inside(q, pc) for q in kept):
+        if not any(pc.ideal.contains_ideal(q.ideal) for q in kept):
             kept.append(pc)
     return kept
 

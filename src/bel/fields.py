@@ -141,8 +141,13 @@ def field_from_spec(spec: str):
     s = spec.strip().lower()
     if s in ("q", "qq"):
         return QQ
+    unknown = ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<p>')")
     if s.startswith("fp:"):
-        return PrimeField(int(s[3:]))
+        try:
+            p = int(s[3:])
+        except ValueError:
+            raise unknown from None
+        return PrimeField(p)
     if s == "fp":
         return PrimeField()
-    raise ValueError(f"unknown field spec {spec!r} (expected 'q' or 'fp:<p>')")
+    raise unknown

@@ -241,6 +241,8 @@ def from_text(text: str) -> Graph:
                 n = int(parts[1])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: bad vertex count {parts[1]!r}")
+            if n < 1:
+                raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -22,17 +22,15 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
+        self._basis = None  # the kernel's Basis, which keeps its packed reducers
         self._gb = None
-        self._gb_terms = None
 
     def groebner(self):
         """The canonical reduced Groebner basis (monic, interreduced,
         sorted by leading monomial descending)."""
         if self._gb is None:
-            raw = kernel.buchberger([g.terms for g in self.gens], self.ring.nvars)
-            self._gb = tuple(self.ring.from_terms(t) for t in raw)
-            # one basis object per ideal, so the kernel can keep it packed
-            self._gb_terms = tuple(g.terms for g in self._gb)
+            self._basis = kernel.buchberger([g.terms for g in self.gens], self.ring.nvars)
+            self._gb = tuple(Polynomial(self.ring, t) for t in self._basis)
         return self._gb
 
     @property
@@ -45,8 +43,7 @@ class Ideal:
         if self.is_zero:
             return f
         self.groebner()
-        r = kernel.normal_form(f.terms, self._gb_terms, self.ring.nvars)
-        return self.ring.from_terms(r)
+        return Polynomial(self.ring, kernel.normal_form(f.terms, self._basis, self.ring.nvars))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -105,7 +102,7 @@ class Ideal:
                 seen.add(h.terms)
                 prods.append(h)
         reduced = kernel.interreduce([p.terms for p in prods], self.ring.nvars)
-        return Ideal(self.ring, [self.ring.from_terms(t_) for t_ in reduced])
+        return Ideal(self.ring, [Polynomial(self.ring, t_) for t_ in reduced])
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """I cap J via one fresh elimination variable w:
@@ -135,7 +132,7 @@ class Ideal:
         shrunk = RingContext(self.ring.names[k:], self.ring.field, self.ring.nelim - k)
         out = []
         for g in kept:
-            out.append(shrunk.from_terms([(m[k:], c) for m, c in g.terms]))
+            out.append(Polynomial(shrunk, tuple((m[k:], c) for m, c in g.terms)))
         return Ideal(shrunk, out)
 
     def __repr__(self):

@@ -175,7 +175,7 @@ def oracle_update_pairs(lms, sugars, pairs, j, guards) -> dict:
     as in the pure-Python kernel and sugars their sugars.  A new pair (a, j)
     gets max(sugars[a] - deg lm_a, sugars[j] - deg lm_j) + deg lcm, each
     total degree summed over the unpacked exponent vector."""
-    from bel._kernel_py import _divides, _lcm
+    from bel.kernel import _divides, _lcm
 
     nvars = guards.bit_length() // 16
 

@@ -51,6 +51,9 @@ def test_field_from_spec():
         field_from_spec("gf:4")
     with pytest.raises(ValueError):
         field_from_spec("fp:6")
+    for spec in ("fp:abc", "fp:"):
+        with pytest.raises(ValueError, match=rf"^unknown field spec '{spec}' \(expected"):
+            field_from_spec(spec)
 
 
 def test_field_identity():

@@ -158,6 +158,8 @@ def test_parse_features():
         ("0 1\n", "1-indexed"),
         ("n 2\n1 3\n", "exceeds"),
         ("n 2\nn 3\n", "header"),
+        ("n 0\n1 2\n", "line 1: vertex count must be positive, got 0"),
+        ("# c\nn -2\n", "line 2: vertex count must be positive, got -2"),
         ("", "empty input"),
     ],
 )
