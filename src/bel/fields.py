@@ -1,19 +1,16 @@
 """Coefficient fields: exact rationals and odd prime fields.
 
-Rationals are gmpy2.mpq when available (much faster), falling back to
-fractions.Fraction.  Field elements only need +, -, *, /, unary -, ==,
-and truthiness (zero is falsy); the Groebner kernels rely on nothing else.
+Rationals are fractions.Fraction, the one rational type.  Field elements
+only need +, -, *, /, unary -, == and truthiness (zero is falsy); the
+Groebner kernel relies on nothing else.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:
-    from fractions import Fraction as _rational
+from fractions import Fraction
 
-# "gmpy2" or "fractions": the module of the rational type in use
-RATIONAL_BACKEND = type(_rational(1)).__module__
+# named in every --json report
+RATIONAL_BACKEND = "fractions"
 
 
 class RationalField:
@@ -22,15 +19,15 @@ class RationalField:
     name = "QQ"
 
     def from_int(self, k):
-        return _rational(k)
+        return Fraction(k)
 
     @property
     def one(self):
-        return _rational(1)
+        return Fraction(1)
 
     @property
     def zero(self):
-        return _rational(0)
+        return Fraction(0)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -45,16 +42,31 @@ class RationalField:
 QQ = RationalField()
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases above is exact below this bound (Sorenson and
+# Webster 2015); PrimeField accepts no characteristic at or above it
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for p < PRIME_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    d = (p - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -103,8 +115,9 @@ class PrimeField:
     """The prime field Z/p for a configurable odd prime p."""
 
     def __init__(self, p: int = 32003):
-        if p <= 2 or not _is_prime(p):
-            raise ValueError(f"prime field characteristic must be an odd prime, got {p}")
+        if not 2 < p < PRIME_BOUND or not _is_prime(p):
+            raise ValueError(f"prime field characteristic must be an odd prime "
+                             f"below {PRIME_BOUND}, got {p}")
         self.p = p
         self.name = f"Fp({p})"
 

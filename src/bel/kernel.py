@@ -3,7 +3,8 @@
 Monomials are packed into single integers, 16 bits per variable, first
 ring variable in the most significant field.  Exponents are limited to
 2**15 - 1: packing a larger one, or a product that would exceed it,
-raises SizeLimitError.  So one guard bit per field is free and
+raises SizeLimitError, and packing a negative one raises ValueError.  So
+one guard bit per field is free and
 
   * integer comparison is exactly the lexicographic term order,
   * monomial multiplication is integer addition,
@@ -14,10 +15,11 @@ order; coefficients are opaque field elements (see bel.fields).  Every
 polynomial it returns is already canonical ``Polynomial.terms``: a tuple
 of terms sorted strictly descending, with nonzero coefficients and tuple
 exponent vectors.  ``buchberger`` returns a ``Basis``, which also keeps
-the packed reducers that ``normal_form`` divides by; a Basis cannot be
-changed, so they never go stale.  Callers go through this module's
-attributes (``kernel.buchberger`` etc.), so a wrapper bound here sees
-every call.
+the monic (lm, tail) reducers that ``normal_form`` reduces by; a Basis
+cannot be changed, so they never go stale.  Reduction and S-polynomials
+only multiply and subtract: ``_monic`` is the one place that divides.
+Callers go through this module's attributes (``kernel.buchberger``
+etc.), so a wrapper bound here sees every call.
 
 Buchberger selects pairs by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano, Traverso 1991): an input generator's sugar is its maximal total
@@ -59,14 +61,17 @@ def _overflow():
     return SizeLimitError(f"exponent above the kernel limit {(1 << _GUARD_SHIFT) - 1}")
 
 
-def _pack(exps, st) -> int:
+def _pack(exps, st, guards) -> int:
     try:
-        return int.from_bytes(st.pack(*exps), "big")
+        m = int.from_bytes(st.pack(*exps), "big")
     except struct.error:
         if len(exps) != st.size // 2:
             raise ValueError(f"exponent vector of length {len(exps)}, "
                              f"expected {st.size // 2}") from None
         raise _overflow() from None
+    if m & guards:  # a negative exponent packs with its guard bit set
+        raise ValueError(f"negative exponent in {tuple(exps)}")
+    return m
 
 
 def _unpack(m: int, st) -> tuple:
@@ -85,11 +90,11 @@ def _lcm(a: int, b: int, guards: int) -> int:
     return b + (d & mask & ~guards)
 
 
-def _to_packed(poly, st):
+def _to_packed(poly, st, guards):
     """Accumulate external (exps, coeff) pairs into a packed sorted list."""
     acc = {}
     for exps, c in poly:
-        m = _pack(exps, st)
+        m = _pack(exps, st, guards)
         if m in acc:
             acc[m] = acc[m] + c
         else:
@@ -105,7 +110,7 @@ def _to_terms(terms, st) -> tuple:
 
 
 def _reduce_full(terms, basis, guards):
-    """Full normal form of a packed term list against (lm, lc, tail) triples.
+    """Full normal form of a packed term list against (lm, tail) reducers.
 
     Divisors are tried in list order; the largest pending term is reduced
     first, so the result is deterministic.
@@ -122,19 +127,18 @@ def _reduce_full(terms, basis, guards):
         if c is None or not c:
             continue
         mg = m + guards
-        for lm, lc, tail in basis:
+        for lm, tail in basis:
             if (mg - lm) & guards == guards:  # _divides(lm, m), inlined
                 q = m - lm
-                s = c / lc
                 for tm, tc in tail:
                     mm = tm + q
                     if mm in coeffs:
-                        coeffs[mm] = coeffs[mm] - s * tc
+                        coeffs[mm] = coeffs[mm] - c * tc
                     else:
                         # an overflowed sum never equals a valid key
                         if mm & guards:
                             raise _overflow()
-                        coeffs[mm] = -s * tc
+                        coeffs[mm] = -c * tc
                         heapq.heappush(heap, -mm)
                 break
         else:
@@ -143,9 +147,8 @@ def _reduce_full(terms, basis, guards):
 
 
 def _prep(g):
-    """Split a packed poly into a (lm, lc, tail) reducer triple."""
-    lm, lc = g[0]
-    return (lm, lc, g[1:])
+    """Split a monic packed poly into an (lm, tail) reducer pair."""
+    return (g[0][0], g[1:])
 
 
 def _monic(g):
@@ -156,20 +159,17 @@ def _monic(g):
 
 
 def _spoly(f, g, lcm, guards):
-    """S-polynomial of f and g; lcm is that of their leading monomials."""
-    lmf, lcf = f[0]
-    lmg, lcg = g[0]
-    qf = lcm - lmf
-    qg = lcm - lmg
-    acc = {}
-    for m, c in f:
-        acc[m + qf] = c / lcf
+    """S-polynomial of monic f and g; lcm is that of their leading
+    monomials."""
+    qf = lcm - f[0][0]
+    qg = lcm - g[0][0]
+    acc = {m + qf: c for m, c in f}
     for m, c in g:
         mm = m + qg
         if mm in acc:
-            acc[mm] = acc[mm] - c / lcg
+            acc[mm] = acc[mm] - c
         else:
-            acc[mm] = -(c / lcg)
+            acc[mm] = -c
     if any(m & guards for m in acc):
         raise _overflow()
     terms = [(m, c) for m, c in acc.items() if c]
@@ -283,8 +283,9 @@ def _buchberger_packed(gens, guards, stats=None):
 
 class Basis(tuple):
     """The canonical polynomials of a reduced Groebner basis, with the
-    ``nvars`` they were packed for and ``reducers``, the packed (lm, lc,
-    tail) triple of each, in the same order."""
+    ``nvars`` they were packed for and ``reducers``, the packed (lm, tail)
+    pair of each, in the same order; every element is monic, so a reducer
+    leaves its leading coefficient 1 implicit."""
 
     def __new__(cls, polys, nvars, reducers):
         self = super().__new__(cls, polys)
@@ -311,7 +312,7 @@ def buchberger(gens, nvars, stats=None) -> Basis:
     "basis_peak" becomes at least the largest basis the call held.
     """
     st, guards = _layout(nvars)
-    packed = [p for p in (_to_packed(g, st) for g in gens) if p]
+    packed = [p for p in (_to_packed(g, st, guards) for g in gens) if p]
     if not packed:
         return Basis((), nvars, ())
     counts = None if stats is None else dict.fromkeys(_STATS, 0)
@@ -326,18 +327,20 @@ def buchberger(gens, nvars, stats=None) -> Basis:
 def normal_form(f, basis, nvars) -> tuple:
     """Remainder of f on full division by the (nonzero) polynomials in
     basis, tried in basis order.  A Basis of this nvars lends its packed
-    reducers; any other basis is packed on the call."""
+    reducers; any other basis is packed and made monic on the call.  The
+    remainder cannot change: c*x^q*(g/lc) is the same polynomial as
+    (c/lc)*x^q*g."""
     st, guards = _layout(nvars)
     if isinstance(basis, Basis) and basis.nvars == nvars:
         reducers = basis.reducers
     else:
-        reducers = [_prep(_to_packed(g, st)) for g in basis]
-    return _to_terms(_reduce_full(_to_packed(f, st), reducers, guards), st)
+        reducers = [_prep(_monic(_to_packed(g, st, guards))) for g in basis]
+    return _to_terms(_reduce_full(_to_packed(f, st, guards), reducers, guards), st)
 
 
 def interreduce(gens, nvars) -> tuple:
     """One autoreduction sweep over a generating set (ideal is preserved),
     ascending by leading monomial."""
     st, guards = _layout(nvars)
-    packed = [p for p in (_to_packed(g, st) for g in gens) if p]
+    packed = [p for p in (_to_packed(g, st, guards) for g in gens) if p]
     return tuple(_to_terms(g, st) for g in _autoreduce(packed, guards))

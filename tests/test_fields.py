@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from bel.fields import QQ, FpElement, PrimeField, field_from_spec
+from bel.fields import PRIME_BOUND, QQ, FpElement, PrimeField, _is_prime, field_from_spec
 
 
 def test_rational_arithmetic():
@@ -40,6 +42,38 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(9)
     assert PrimeField(32003).p == 32003
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert all(_is_prime(p) == _trial_division(p) for p in range(10 ** 5))
+
+
+def test_miller_rabin_rejects_carmichael_numbers():
+    # 3825123056546413051 = 149491 * 747451 * 34233211 is a strong
+    # pseudoprime to each prime base up to 23, so only the bases 29 to 41
+    # expose it
+    for n in (561, 41041, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_large_prime_field():
+    t0 = time.perf_counter()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError):
+        PrimeField(2 ** 61 + 1)  # 3 * 768614336404564651
+    # the test is exact only below PRIME_BOUND, so no characteristic from
+    # there up is accepted, prime or not
+    with pytest.raises(ValueError, match=f"odd prime below {PRIME_BOUND}"):
+        PrimeField(2 ** 89 - 1)
+    with pytest.raises(ValueError, match=f"odd prime below {PRIME_BOUND}"):
+        field_from_spec(f"fp:{2 ** 89 - 1}")
 
 
 def test_field_from_spec():

@@ -12,11 +12,14 @@ from bel import corpus, kernel
 from bel.bei import binomial_edge_ideal
 from bel.decomp import groebner_verdict, minimal_primes
 from bel.errors import SizeLimitError
-from bel.fields import QQ
+from bel.fields import QQ, PrimeField
 from bel.graphs import Graph, net_graph
-from bel.rings import RingContext
+from bel.ideals import Ideal
+from bel.rings import Polynomial, RingContext
 
 from conftest import oracle_buchberger, oracle_update_pairs
+
+FP = PrimeField(32003)
 
 
 def test_kernel_name_matches_selected_module():
@@ -45,22 +48,23 @@ def test_buchberger_idempotent():
 
 
 def _fresh_normal_form(f, basis, nvars):
-    """The normal form with the basis packed on this call."""
+    """The normal form with the basis packed and made monic on this call."""
     st, guards = kernel._layout(nvars)
-    bp = [kernel._prep(kernel._to_packed(g, st)) for g in basis]
-    return kernel._to_terms(kernel._reduce_full(kernel._to_packed(f, st), bp, guards), st)
+    bp = [kernel._prep(kernel._monic(kernel._to_packed(g, st, guards))) for g in basis]
+    return kernel._to_terms(kernel._reduce_full(kernel._to_packed(f, st, guards), bp, guards), st)
 
 
-def _gb(G):
-    I = binomial_edge_ideal(G)
+def _gb(G, field=QQ):
+    I = binomial_edge_ideal(G, field)
     return kernel.buchberger([g.terms for g in I.gens], I.ring.nvars)
 
 
 def test_normal_form_reducers_match_fresh():
     """A Basis lends normal_form its own packed reducers and any other
     basis is packed on the call; both give the remainder of a fresh
-    packing, on alternating Basis, tuple and list bases and on a list
-    basis and a tuple of lists mutated between calls."""
+    packing, on alternating Basis, tuple and list bases, on a list basis
+    and a tuple of lists mutated between calls, and on a basis whose
+    elements are not monic."""
     R = RingContext.for_graph(4, QQ)
     a, b = _gb(Graph.path(4)), _gb(Graph.complete(4))
     assert isinstance(a, kernel.Basis) and a.nvars == R.nvars
@@ -95,6 +99,32 @@ def test_normal_form_reducers_match_fresh():
         _fresh_normal_form(wide, gb, 8)
     with pytest.raises(ValueError, match="length 6, expected 8"):
         kernel.normal_form(wide, gb, 8)
+    # a foreign basis scaled by a unit is made monic when it is packed, so
+    # its remainders equal those of the monic Basis
+    for field, unit in ((QQ, QQ.from_int(3)), (FP, FP.from_int(-12345))):
+        Rf = RingContext.for_graph(4, field)
+        probes = (Rf.x(1) * Rf.y(3) + Rf.x(1) * Rf.y(4) * Rf.y(2) + Rf.x(2) * Rf.y(4),
+                  Rf.x(1) ** 2 * Rf.y(2) * Rf.y(4) - Rf.constant(7) * Rf.x(3) * Rf.y(1) * Rf.y(4))
+        for G in (Graph.path(4), Graph.complete(4), Graph.cycle(4)):
+            monic = _gb(G, field)
+            scaled = [[(m, unit * c) for m, c in g] for g in monic]
+            for p in probes:
+                want = kernel.normal_form(p.terms, monic, Rf.nvars)
+                assert want and want != p.terms
+                assert all(type(c) is type(unit) for _, c in want)
+                assert kernel.normal_form(p.terms, scaled, Rf.nvars) == want
+                assert _fresh_normal_form(p.terms, scaled, Rf.nvars) == want
+
+
+def test_negative_exponent_rejected():
+    """A negative exponent would pack with its guard bit set."""
+    R = RingContext(("x", "y"))
+    with pytest.raises(ValueError, match="negative exponent"):
+        Ideal(R, [Polynomial(R, (((-1, 0), QQ.one),))]).groebner()
+    with pytest.raises(ValueError, match="negative exponent"):
+        kernel.buchberger([[((-1, 0), 1), ((0, 1), 1)]], 2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        kernel.normal_form([((0, 1), 1)], [[((1, -32768), 1)]], 2)
 
 
 def test_normal_form_membership():
@@ -303,7 +333,7 @@ def test_update_pairs_matches_oracle():
         lms, sugars, heap = [], [], []
         for _ in range(60):
             exps = [rng.randint(0, 4) for _ in range(nvars)]
-            m = kernel._pack(exps, st)
+            m = kernel._pack(exps, st, guards)
             if any(kernel._divides(lm, m, guards) for lm in lms):
                 continue  # a new remainder's lm is divisible by no earlier one
             lms.append(m)
