@@ -44,12 +44,11 @@ class AdmissiblePath:
     interior: tuple
 
     def monomial_exponents(self, R: RingContext) -> tuple:
+        n = R.nvars // 2
         exps = [0] * R.nvars
         for v in self.interior:
-            if v > self.j:
-                exps[R.index(f"x{v}")] = 1
-            else:  # v < i by admissibility
-                exps[R.index(f"y{v}")] = 1
+            # x_v sits at v - 1; y_v (v < i by admissibility) at n + v - 1
+            exps[v - 1 if v > self.j else n + v - 1] = 1
         return tuple(exps)
 
     def monomial(self, R: RingContext) -> Polynomial:
@@ -114,10 +113,10 @@ def initial_ideal(G: Graph, field=QQ) -> Ideal:
 
 def gb_max_degree(G: Graph, lab: Labeling | None = None) -> int:
     """Maximum total degree over the combinatorial reduced basis of the
-    relabeled graph."""
+    relabeled graph, read off its admissible paths without building the
+    basis: u_pi * f_ij has degree len(interior) + 2."""
     H = lab.apply(G) if lab is not None else G
-    gb = groebner_combinatorial(H)
-    return max((g.total_degree() for g in gb), default=0)
+    return max((len(p.interior) + 2 for p in admissible_paths(H)), default=0)
 
 
 def min_gb_degree(G: Graph) -> int:

@@ -76,7 +76,18 @@ def _report(command: str, G: Graph | None, results: dict, t0: float, field=None)
     return rep
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a size cap hit in any command exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SizeLimitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_SIZE)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact binomial edge ideal toolkit: Groebner bases, prime
     decompositions, symbolic powers, and graph-class recognition."""
@@ -89,25 +100,21 @@ def classify(graph_file, as_json):
     """Run every graph-class recognizer on GRAPH_FILE."""
     t0 = time.perf_counter()
     G = _load_graph(graph_file)
-    try:
-        closed = find_closed_labeling(G)
-        weak = find_weakly_closed_labeling(G)
-        gencat = is_generalized_caterpillar(G)
-        results = {
-            "tree": is_tree(G),
-            "caterpillar": is_caterpillar(G),
-            "generalized_caterpillar": gencat is not None,
-            "net_free": is_net_free(G),
-            "closed": closed is not None,
-            "closed_labeling": closed.as_dict() if closed else None,
-            "weakly_closed": weak is not None,
-            "weakly_closed_labeling": weak.as_dict() if weak else None,
-            "comparability": is_comparability(G),
-            "complement_comparability": is_comparability(complement(G)),
-        }
-    except SizeLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SIZE)
+    closed = find_closed_labeling(G)
+    weak = find_weakly_closed_labeling(G)
+    gencat = is_generalized_caterpillar(G)
+    results = {
+        "tree": is_tree(G),
+        "caterpillar": is_caterpillar(G),
+        "generalized_caterpillar": gencat is not None,
+        "net_free": is_net_free(G),
+        "closed": closed is not None,
+        "closed_labeling": closed.as_dict() if closed else None,
+        "weakly_closed": weak is not None,
+        "weakly_closed_labeling": weak.as_dict() if weak else None,
+        "comparability": is_comparability(G),
+        "complement_comparability": is_comparability(complement(G)),
+    }
     rep = _report("classify", G, results, t0)
     _emit(rep, as_json, [f"{k}: {v}" for k, v in results.items()])
     sys.exit(EXIT_OK)
@@ -153,11 +160,7 @@ def primes(graph_file, as_json, field_spec, max_n):
     t0 = time.perf_counter()
     G = _load_graph(graph_file)
     field = _field(field_spec)
-    try:
-        pcs = minimal_primes(G, field, cap=max_n)
-    except SizeLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SIZE)
+    pcs = minimal_primes(G, field, cap=max_n)
     results = {
         "count": len(pcs),
         "components": [
@@ -186,11 +189,7 @@ def powers(graph_file, as_json, field_spec, t, max_n):
     if t < 1:
         click.echo("error: --t must be >= 1", err=True)
         sys.exit(EXIT_USAGE)
-    try:
-        v = equality_verdict(G, t, field, cap=max_n)
-    except SizeLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SIZE)
+    v = equality_verdict(G, t, field, cap=max_n)
     results = {"t": t, "equal": v.equal, "witness": str(v.witness) if v.witness else None,
                "certificate": v.certificate}
     rep = _report("powers", G, results, t0, field)

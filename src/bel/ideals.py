@@ -1,5 +1,5 @@
 """Ideal-level algebra: membership, canonical equality, sum, product,
-power, and intersection via a single-variable elimination order.
+power, and intersection by eliminating one fresh leading variable.
 
 Equality and membership always go through the cached reduced Groebner
 basis, which is canonical for the ideal under the ring's lex order.
@@ -105,34 +105,32 @@ class Ideal:
         return Ideal(self.ring, [Polynomial(self.ring, t_) for t_ in reduced])
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J via one fresh elimination variable w:
-        eliminate w from w*I + (1-w)*J under the block order."""
+        """I cap J via one fresh variable w put in front of the roster:
+        eliminate w from w*I + (1-w)*J."""
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
         if self.is_zero or other.is_zero:
             return Ideal(self.ring, ())
-        ext = self.ring.with_elimination(1)
-        w = ext.var(ext.names[0])
-        one_minus_w = ext.one() - w
-        gens = [w * self.ring.embed(f) for f in self.gens]
-        gens += [one_minus_w * self.ring.embed(g) for g in other.gens]
+        ext = RingContext(("w",) + self.ring.names, self.ring.field)
+        w = ext.var(0)
+        # each generator lifted by a 0 exponent for w, then multiplied
+        gens = [h * Polynomial(ext, tuple(((0,) + m, c) for m, c in f.terms))
+                for h, I in ((w, self), (ext.one() - w, other)) for f in I.gens]
         return Ideal(ext, gens).eliminate(1)
 
     def eliminate(self, k: int) -> "Ideal":
-        """Eliminate the k leading block variables; returns an ideal of the
-        base ring generated by the GB elements free of them."""
-        if k == 0:
-            return self
-        if k > self.ring.nelim:
-            raise ValueError("can only eliminate leading block variables")
-        kept = []
+        """Eliminate the first k roster variables; returns an ideal of the
+        ring of the remaining names generated by the GB elements free of
+        them.  Any leading block of a lex roster is an elimination block
+        (the elimination theorem), so those elements generate the
+        elimination ideal."""
+        if not 0 <= k < self.ring.nvars:
+            raise ValueError(f"cannot eliminate {k} of {self.ring.nvars} variables")
+        shrunk = RingContext(self.ring.names[k:], self.ring.field)
+        out = []
         for g in self.groebner():
             if not any(any(m[:k]) for m, _ in g.terms):
-                kept.append(g)
-        shrunk = RingContext(self.ring.names[k:], self.ring.field, self.ring.nelim - k)
-        out = []
-        for g in kept:
-            out.append(Polynomial(shrunk, tuple((m[k:], c) for m, c in g.terms)))
+                out.append(Polynomial(shrunk, tuple((m[k:], c) for m, c in g.terms)))
         return Ideal(shrunk, out)
 
     def __repr__(self):

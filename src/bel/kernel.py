@@ -3,8 +3,8 @@
 Monomials are packed into single integers, 16 bits per variable, first
 ring variable in the most significant field.  Exponents are limited to
 2**15 - 1: packing a larger one, or a product that would exceed it,
-raises SizeLimitError, and packing a negative one raises ValueError.  So
-one guard bit per field is free and
+raises SizeLimitError, and packing a negative or non-integer one raises
+ValueError.  So one guard bit per field is free and
 
   * integer comparison is exactly the lexicographic term order,
   * monomial multiplication is integer addition,
@@ -68,6 +68,8 @@ def _pack(exps, st, guards) -> int:
         if len(exps) != st.size // 2:
             raise ValueError(f"exponent vector of length {len(exps)}, "
                              f"expected {st.size // 2}") from None
+        if not all(isinstance(e, int) and e >= 0 for e in exps):
+            raise ValueError(f"negative or non-integer exponent in {tuple(exps)}") from None
         raise _overflow() from None
     if m & guards:  # a negative exponent packs with its guard bit set
         raise ValueError(f"negative exponent in {tuple(exps)}")
@@ -153,7 +155,7 @@ def _prep(g):
 
 def _monic(g):
     lc = g[0][1]
-    if lc == lc / lc:  # already 1
+    if lc == 1:  # Fraction and FpElement both compare equal to the int 1
         return g
     return [(m, c / lc) for m, c in g]
 

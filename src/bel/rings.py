@@ -1,10 +1,12 @@
 """Polynomial rings for binomial edge ideals.
 
-A ring is k[x_1..x_n, y_1..y_n], optionally preceded by elimination
-variables.  The variable roster order *is* the term order: monomials are
-exponent tuples over the roster and plain tuple comparison realizes the
-lexicographic order x_1 > ... > x_n > y_1 > ... > y_n (elimination
-variables, when present, come first, giving the block elimination order).
+A ring is k[x_1..x_n, y_1..y_n].  A variable is addressed by its
+position in the roster; names are kept only to render polynomials and
+facets.  The roster order *is* the term order: monomials are exponent
+tuples over the roster and plain tuple comparison realizes the
+lexicographic order x_1 > ... > x_n > y_1 > ... > y_n.  Lex is also an
+elimination order for every leading block of the roster, so putting
+fresh variables in front is all an elimination ring needs.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ Monomial = tuple  # exponent vector over the ring's variable roster
 class RingContext:
     """Variable roster plus coefficient field.
 
-    names are in term-order position: heaviest variable first.  nelim
-    leading names are elimination variables.
+    names are in term-order position, heaviest variable first; position i
+    of a monomial is the exponent of names[i].  Any leading block of
+    names is an elimination block of the lex order.
     """
 
     names: tuple
     field: object = QQ
-    nelim: int = 0
 
     @staticmethod
     def for_graph(n: int, field=QQ) -> "RingContext":
@@ -41,9 +43,6 @@ class RingContext:
     def nvars(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
 
@@ -56,17 +55,26 @@ class RingContext:
             return self.zero()
         return Polynomial(self, (((0,) * self.nvars, c),))
 
-    def var(self, name: str) -> "Polynomial":
-        i = self.index(name)
+    def var(self, i: int) -> "Polynomial":
+        """The variable at roster position i."""
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable at position {i}")
         exps = [0] * self.nvars
         exps[i] = 1
         return Polynomial(self, ((tuple(exps), self.field.one),))
 
     def x(self, i: int) -> "Polynomial":
-        return self.var(f"x{i}")
+        """x_i of a for_graph ring, at position i - 1."""
+        return self.var(self._vertex(i) - 1)
 
     def y(self, i: int) -> "Polynomial":
-        return self.var(f"y{i}")
+        """y_i of a for_graph ring, at position n + i - 1."""
+        return self.var(self.nvars // 2 + self._vertex(i) - 1)
+
+    def _vertex(self, i: int) -> int:
+        if not 1 <= i <= self.nvars // 2:
+            raise ValueError(f"vertex {i} outside 1..{self.nvars // 2}")
+        return i
 
     def from_terms(self, terms) -> "Polynomial":
         acc = {}
@@ -74,28 +82,13 @@ class RingContext:
             m = tuple(m)
             if len(m) != self.nvars:
                 raise ValueError("exponent vector length does not match roster")
+            if not all(isinstance(e, int) for e in m):
+                raise ValueError(f"non-integer exponent in {m}")
             if min(m, default=0) < 0:
                 raise ValueError("negative exponent in monomial")
             acc[m] = acc[m] + c if m in acc else c
         cleaned = tuple(sorted(((m, c) for m, c in acc.items() if c), reverse=True))
         return Polynomial(self, cleaned)
-
-    def with_elimination(self, k: int = 1) -> "RingContext":
-        """Ring extended by k fresh elimination variables in front."""
-        fresh = []
-        i = 0
-        while len(fresh) < k:
-            name = f"w{i}"
-            if name not in self.names:
-                fresh.append(name)
-            i += 1
-        return RingContext(tuple(fresh) + self.names, self.field, self.nelim + k)
-
-    def embed(self, f: "Polynomial", k: int = 1) -> "Polynomial":
-        """Re-read a polynomial of this ring in self.with_elimination(k)."""
-        ext = self.with_elimination(k)
-        pad = (0,) * k
-        return Polynomial(ext, tuple((pad + m, c) for m, c in f.terms))
 
     def monomial_str(self, m: Monomial) -> str:
         parts = []

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from bel import corpus
@@ -85,6 +88,25 @@ def test_gb_max_degree():
     assert gb_max_degree(Graph.complete(4)) == 2
     # a bad labeling of the path raises the degree
     assert gb_max_degree(Graph.path(3), Labeling.from_order([1, 3, 2])) == 3
+
+
+def test_gb_max_degree_matches_basis_degrees(small_transversal):
+    """gb_max_degree, read off the admissible paths, equals the largest
+    degree of the combinatorial basis: on every connected graph with
+    n <= 5 under its own labelling and a seeded relabelling, on seeded
+    n = 6 graphs, and on edgeless graphs."""
+    rng = random.Random(12)
+    cases = []
+    for G in small_transversal:
+        cases += [(G, None), (G, Labeling(tuple(rng.sample(range(1, G.n + 1), G.n))))]
+    for _ in range(60):
+        edges = [e for e in combinations(range(1, 7), 2) if rng.random() < 0.5]
+        cases.append((Graph.from_edges(6, edges), Labeling(tuple(rng.sample(range(1, 7), 6)))))
+    cases += [(Graph.empty(n), None) for n in (1, 2, 4)]
+    for G, lab in cases:
+        H = lab.apply(G) if lab is not None else G
+        want = max((g.total_degree() for g in groebner_combinatorial(H)), default=0)
+        assert gb_max_degree(G, lab) == want, (G, lab)
 
 
 def test_min_gb_degree():

@@ -132,6 +132,8 @@ def test_size_cap_exit_3(runner, graph_file):
     assert res.exit_code == 3
     res = runner.invoke(cli.main, ["classify", graph_file(Graph.path(9))])
     assert res.exit_code == 3
+    res = runner.invoke(cli.main, ["primes", graph_file(Graph.path(9))])
+    assert res.exit_code == 3
 
 
 def test_suite_command_exit_codes(runner, monkeypatch):

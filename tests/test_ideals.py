@@ -86,10 +86,18 @@ def test_cross_ring_guards(R):
         I.contains(other.x(1))
 
 
-def test_eliminate_guard(R):
-    I = Ideal(R, [R.x(1)])
-    with pytest.raises(ValueError):
-        I.eliminate(1)  # no elimination block in this ring
+def test_eliminate_leading_block():
+    """Eliminating x1 from <x1 - x2, x1 - y1> leaves <x2 - y1> in the ring
+    of the remaining names; k must leave at least one variable."""
+    R = RingContext.for_graph(2, QQ)
+    I = Ideal(R, [R.x(1) - R.x(2), R.x(1) - R.y(1)])
+    E = I.eliminate(1)
+    rest = RingContext(R.names[1:], QQ)
+    assert E.ring == rest
+    assert E.equal(Ideal(rest, [rest.var(0) - rest.var(1)]))
+    for k in (-1, R.nvars):
+        with pytest.raises(ValueError):
+            I.eliminate(k)
 
 
 def test_zero_ideal(R):

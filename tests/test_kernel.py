@@ -198,6 +198,33 @@ def test_pure_python_wrong_length_exponents():
     assert not isinstance(exc.value, SizeLimitError)
 
 
+def test_non_integer_exponent_is_not_a_size_error():
+    """A non-integer or negative exponent handed to the kernel is a
+    ValueError; only an exponent above the limit is a SizeLimitError."""
+    with pytest.raises(ValueError, match="non-integer") as exc:
+        kernel.buchberger([[((Fraction(1), 0), 1)]], 2)
+    assert not isinstance(exc.value, SizeLimitError)
+    with pytest.raises(ValueError, match="negative") as exc:
+        kernel.buchberger([[((-40000, 0), 1)]], 2)  # too wide for a field, yet not too large
+    assert not isinstance(exc.value, SizeLimitError)
+    with pytest.raises(SizeLimitError):
+        kernel.buchberger([[((40000, 0), 1)]], 2)
+
+
+def test_monic_keeps_a_monic_input_without_dividing():
+    class NoDivFraction(Fraction):
+        def __truediv__(self, other):
+            raise AssertionError("divided a monic polynomial")
+
+    class NoDivFp(type(FP.one)):
+        def __truediv__(self, other):
+            raise AssertionError("divided a monic polynomial")
+
+    for one, two in ((NoDivFraction(1), NoDivFraction(2)), (NoDivFp(1, FP.p), NoDivFp(2, FP.p))):
+        g = [(5, one), (3, two)]
+        assert kernel._monic(g) is g
+
+
 def test_kernel_output_is_canonical(monkeypatch):
     """Every polynomial the kernel returns is already in the shape of
     Polynomial.terms, so from_terms leaves it as it is: checked on each

@@ -70,19 +70,24 @@ def test_from_terms_rejects_malformed_monomials(R):
         R.from_terms([((1, -1, 0, 0, 0, 0), one), ((0, 1, 0, 0, 0, 0), one)])
     with pytest.raises(ValueError, match="length"):
         R.from_terms([((1, 0, 0), one)])
+    with pytest.raises(ValueError, match="non-integer"):
+        R.from_terms([((1.0, 0, 0, 0, 0, 0), one)])
 
 
-def test_elimination_ring_round_trip(R):
-    ext = R.with_elimination(1)
-    assert ext.nvars == R.nvars + 1
-    assert ext.nelim == 1
-    f = R.x(1) * R.y(3) - R.x(3) * R.y(1)
-    lifted = R.embed(f)
-    assert lifted.ring == ext
-    assert all(m[0] == 0 for m, _ in lifted.terms)
-    # the fresh variable sorts above every original variable
-    w = ext.var(ext.names[0])
-    assert (w + ext.var("x1")).leading_monomial() == w.leading_monomial()
+def test_graph_variables_by_position():
+    """x(i) and y(i) land where the roster names x_i and y_i, and a
+    vertex outside 1..n is refused."""
+    for n in range(1, 7):
+        R = RingContext.for_graph(n)
+        for i in range(1, n + 1):
+            for v, name in ((R.x(i), f"x{i}"), (R.y(i), f"y{i}")):
+                unit = [0] * R.nvars
+                unit[R.names.index(name)] = 1
+                assert v == R.from_terms([(unit, QQ.one)])
+        with pytest.raises(ValueError):
+            R.x(0)
+        with pytest.raises(ValueError):
+            R.y(n + 1)
 
 
 def test_prime_field_ring():
