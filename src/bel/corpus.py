@@ -10,23 +10,22 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .graphs import Graph, add_whisker, clique_join, edge, is_connected, net_graph
+from .graphs import Graph, add_whisker, clique_join, is_connected, net_graph
 from .recognizers import is_caterpillar
 
 
 def canonical_form(G: Graph) -> tuple:
     """Minimum edge-set encoding over all vertex permutations; equal iff
-    isomorphic.  Exponential in n; fine at desk scale."""
-    pairs = list(combinations(range(1, G.n + 1), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    best = None
-    for perm in permutations(range(1, G.n + 1)):
-        bits = 0
-        for (u, v) in G.edges:
-            bits |= 1 << index[edge(perm[u - 1], perm[v - 1])]
-        if best is None or bits < best:
-            best = bits
-    return (G.n, best)
+    isomorphic.  Pair {a, b} is bit number i when it is the i-th pair of
+    combinations(1..n, 2).  Exponential in n; fine at desk scale."""
+    n = G.n
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
+        bit[a][b] = bit[b][a] = 1 << i
+    edges = [(u - 1, v - 1) for u, v in G.edges]
+    best = min(sum(bit[p[u]][p[v]] for u, v in edges)
+               for p in permutations(range(1, n + 1)))
+    return (n, best)
 
 
 def all_graphs(n: int):
@@ -34,6 +33,26 @@ def all_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
         yield Graph.from_edges(n, (p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+def graphs_upto(max_n: int) -> list:
+    """One graph per isomorphism class on 1..max_n vertices, by n; the
+    classes with n <= 6 are those of Read and Wilson's *An Atlas of
+    Graphs*.  Deleting vertex n from a graph on n vertices leaves a graph
+    on n - 1 vertices, so vertex n joined with every neighbourhood to one
+    representative of each class on n - 1 vertices reaches every class
+    on n; ``transversal`` keeps the first of each."""
+    level = [Graph.empty(1)]
+    out = list(level)
+    for n in range(2, max_n + 1):
+        level = transversal(
+            Graph(n, G.edges | {(v, n) for v in nbrs})
+            for G in level
+            for r in range(n)
+            for nbrs in combinations(range(1, n), r)
+        )
+        out.extend(level)
+    return out
 
 
 def connected_graphs(n: int) -> list:

@@ -1,10 +1,11 @@
 """Simple graphs on labeled vertices 1..n and their structural
-decompositions: components, cutpoints, blocks, whiskers, clique joins.
+decompositions: components, blocks, whiskers, clique joins.
 
 Graphs are immutable; all operations are pure functions.  Every layer
-reads neighbourhoods from ``Graph.adj``, built once per graph, and
-components are a traversal over it.  networkx runs only cutpoints and
-blocks (standard DFS algorithms), cross-checked against brute force.
+reads neighbourhoods from ``Graph.adj``, built once per graph;
+components are a traversal over it, and blocks split a component at a
+cutpoint those traversals find.  The library does not import networkx;
+only ``Graph.to_networkx`` does, for the oracles that use it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-
-import networkx as nx
 
 
 def edge(u: int, v: int) -> tuple:
@@ -85,7 +84,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def to_networkx(self) -> "nx.Graph":
+    def to_networkx(self) -> "networkx.Graph":
+        """The same graph as a networkx.Graph on nodes 1..n, for oracles
+        outside the library; networkx is a dev dependency, imported here."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.vertices)
         g.add_edges_from(self.edges)
@@ -106,16 +109,29 @@ def is_connected(G: Graph) -> bool:
     return len(connected_components(G)) == 1
 
 
-def cutpoints(G: Graph) -> set:
-    """Vertices whose removal increases the component count."""
-    return set(nx.articulation_points(G.to_networkx()))
-
-
 def blocks(G: Graph) -> list:
     """Vertex sets of the blocks (maximal 2-connected subgraphs or
     bridges), ordered by size descending then vertex sequence.  Isolated
-    vertices form no block."""
-    out = [set(b) for b in nx.biconnected_components(G.to_networkx())]
+    vertices form no block.
+
+    A connected vertex set is split at its least cutpoint v: every block
+    lies inside one component of the set minus v with v added back, and
+    the blocks of those connected parts are blocks of G.  A set of two or
+    more vertices with no cutpoint is a block."""
+    out = []
+
+    def split(verts):
+        for v in sorted(verts):
+            parts = components_within(G, verts - {v})
+            if len(parts) > 1:
+                for part in parts:
+                    split(part | {v})
+                return
+        out.append(verts)
+
+    for comp in connected_components(G):
+        if len(comp) > 1:
+            split(comp)
     return sorted(out, key=lambda b: (-len(b), sorted(b)))
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import networkx as nx
-
 from . import corpus
 from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
 from .complexes import delta_of, find_special_odd_cycle
@@ -226,14 +224,8 @@ def criterion_weakly_closed_comparability() -> CriterionResult:
     net-freeness matches weak closedness on the gencat corpus."""
 
     def run():
-        atlas = [g for g in nx.graph_atlas_g()[1:] if g.number_of_nodes() <= 6]
-        bad = 0
-        for g in atlas:
-            mapping = {v: i + 1 for i, v in enumerate(sorted(g.nodes))}
-            n = max(1, g.number_of_nodes())
-            G = Graph.from_edges(n, [(mapping[a], mapping[b]) for a, b in g.edges])
-            if is_weakly_closed(G) != is_comparability(complement(G)):
-                bad += 1
+        atlas = corpus.graphs_upto(6)
+        bad = sum(is_weakly_closed(G) != is_comparability(complement(G)) for G in atlas)
         corpus_bad = 0
         for G in corpus.gencat_corpus() + corpus.net_family():
             if is_net_free(G) != is_weakly_closed(G):

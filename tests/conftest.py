@@ -3,6 +3,7 @@ implementations they cross-check."""
 
 from __future__ import annotations
 
+import random
 import struct
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -35,6 +36,35 @@ def oracle_components(G: Graph) -> list:
     for v in G.vertices:
         comps.setdefault(find(v), set()).add(v)
     return sorted(comps.values(), key=min)
+
+
+def oracle_canonical_form(G: Graph) -> tuple:
+    """The literal definition: the least edge bitmask over all n! vertex
+    permutations, pair {a, b} being bit number i when it is the i-th pair
+    of combinations(1..n, 2)."""
+    pairs = list(combinations(range(1, G.n + 1), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    best = None
+    for perm in permutations(range(1, G.n + 1)):
+        bits = 0
+        for (u, v) in G.edges:
+            bits |= 1 << index[edge(perm[u - 1], perm[v - 1])]
+        if best is None or bits < best:
+            best = bits
+    return (G.n, best)
+
+
+def seeded_graphs(sizes, count: int, seed: int) -> list:
+    """count graphs with n drawn from sizes, each with its own edge
+    density between 0.15 and 0.6, so sparse and dense ones both occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.choice(sizes)
+        p = rng.uniform(0.15, 0.6)
+        out.append(Graph.from_edges(
+            n, (e for e in combinations(range(1, n + 1), 2) if rng.random() < p)))
+    return out
 
 
 def oracle_is_net_free(G: Graph) -> bool:

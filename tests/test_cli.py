@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bel
 from bel import cli
 from bel.fields import QQ, RATIONAL_BACKEND
 from bel.graphs import Graph, net_graph, to_text
@@ -153,3 +159,37 @@ def test_suite_command_exit_codes(runner, monkeypatch):
     res = runner.invoke(cli.main, ["suite"])
     assert res.exit_code == 1
     assert "[FAIL]" in res.output
+
+
+def test_runs_without_networkx(graph_file):
+    """networkx is a dev dependency only: importing bel does not load it,
+    and with every import of it made to fail (a None entry in
+    sys.modules), the CLI, the generalized-caterpillar recognizer and
+    suite criterion 8 still run."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import bel, bel.cli
+        assert "networkx" not in sys.modules, "import bel loaded networkx"
+        sys.modules["networkx"] = None
+        from bel import suite
+        from bel.graphs import net_graph
+        from bel.recognizers import is_generalized_caterpillar
+        for command in ("classify", "gb"):
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    bel.cli.main([command, "--json", sys.argv[1]])
+            except SystemExit as exc:
+                assert exc.code == 0, (command, exc.code)
+            assert json.loads(out.getvalue())["command"] == command
+        w = is_generalized_caterpillar(net_graph())
+        assert w is not None and w.replay() == net_graph()
+        r = suite.criterion_weakly_closed_comparability()
+        assert r.passed, r.detail
+    """)
+    src = str(Path(bel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", script, graph_file(net_graph())],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -1,6 +1,11 @@
+from itertools import chain
+
+import networkx as nx
+
 from bel import corpus
 from bel.graphs import Graph, relabel
 from bel.recognizers import is_caterpillar, is_net_free, is_tree
+from conftest import oracle_canonical_form, seeded_graphs
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -8,6 +13,26 @@ def test_canonical_form_isomorphism_invariant():
     H = relabel(G, {1: 4, 2: 2, 3: 3, 4: 1})
     assert corpus.canonical_form(G) == corpus.canonical_form(H)
     assert corpus.canonical_form(G) != corpus.canonical_form(Graph.star(3))
+
+
+def test_canonical_form_matches_definition():
+    """Every labelled graph with n <= 5 and seeded graphs with n = 6-8."""
+    graphs = chain.from_iterable(corpus.all_graphs(n) for n in range(1, 6))
+    for G in chain(graphs, seeded_graphs((6, 7), 12, seed=21), seeded_graphs((8,), 3, seed=22)):
+        assert corpus.canonical_form(G) == oracle_canonical_form(G), sorted(G.edges)
+
+
+def test_graphs_upto_is_the_atlas():
+    """The classes on 1..6 vertices are the networkx atlas's (Read and
+    Wilson), one representative each, ordered by n."""
+    graphs = corpus.graphs_upto(6)
+    assert [sum(1 for G in graphs if G.n == n) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [G.n for G in graphs] == sorted(G.n for G in graphs)
+    forms = [corpus.canonical_form(G) for G in graphs]
+    atlas = [Graph.from_edges(g.number_of_nodes(), [(a + 1, b + 1) for a, b in g.edges])
+             for g in nx.graph_atlas_g()[1:] if g.number_of_nodes() <= 6]
+    assert len(atlas) == len(set(forms)) == len(forms) == 208
+    assert set(forms) == {corpus.canonical_form(G) for G in atlas}
 
 
 def test_enumeration_counts():

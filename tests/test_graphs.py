@@ -13,7 +13,6 @@ from bel.graphs import (
     complement,
     components_within,
     connected_components,
-    cutpoints,
     disjoint_union,
     dominating_set_T,
     from_text,
@@ -23,7 +22,7 @@ from bel.graphs import (
     relabel,
     to_text,
 )
-from conftest import _induced, oracle_blocks, oracle_components, oracle_cutpoints
+from conftest import _induced, oracle_blocks, oracle_components, seeded_graphs
 
 
 def test_constructors():
@@ -67,20 +66,18 @@ def test_net_graph_shape():
     net = net_graph()
     assert net.n == 6
     assert sorted(net.degree(v) for v in net.vertices) == [1, 1, 1, 3, 3, 3]
-    assert cutpoints(net) == {1, 2, 3}
     assert blocks(net) == [{1, 2, 3}, {1, 4}, {2, 5}, {3, 6}]
     assert is_block_graph(net)
 
 
 def test_structure_against_oracles():
-    checked = 0
-    for n in range(1, 6):
-        for G in corpus.transversal(corpus.all_graphs(n)):
-            assert connected_components(G) == oracle_components(G)
-            assert cutpoints(G) == oracle_cutpoints(G)
-            assert blocks(G) == oracle_blocks(G)
-            checked += 1
-    assert checked > 50
+    """Every graph with n <= 6 up to isomorphism, disconnected ones and
+    isolated vertices included, and 300 seeded graphs with n = 7-9."""
+    graphs = corpus.graphs_upto(6) + seeded_graphs((7, 8, 9), 300, seed=13)
+    for G in graphs:
+        assert connected_components(G) == oracle_components(G)
+        assert blocks(G) == oracle_blocks(G), sorted(G.edges)
+    assert len(graphs) == 508
 
 
 def test_components_within():
