@@ -122,16 +122,17 @@ class Ideal:
         """Eliminate the first k roster variables; returns an ideal of the
         ring of the remaining names generated by the GB elements free of
         them.  Any leading block of a lex roster is an elimination block
-        (the elimination theorem), so those elements generate the
-        elimination ideal."""
+        (the elimination theorem), so those elements are the reduced
+        basis of the elimination ideal, and the result carries that
+        basis: its groebner() runs no Buchberger."""
         if not 0 <= k < self.ring.nvars:
             raise ValueError(f"cannot eliminate {k} of {self.ring.nvars} variables")
         shrunk = RingContext(self.ring.names[k:], self.ring.field)
-        out = []
-        for g in self.groebner():
-            if not any(any(m[:k]) for m, _ in g.terms):
-                out.append(Polynomial(shrunk, tuple((m[k:], c) for m, c in g.terms)))
-        return Ideal(shrunk, out)
+        self.groebner()
+        basis = kernel.eliminated(self._basis, k)
+        out = Ideal(shrunk, [Polynomial(shrunk, g) for g in basis])
+        out._basis, out._gb = basis, out.gens
+        return out
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.gens[:4])
@@ -140,8 +141,10 @@ class Ideal:
 
 
 def intersect_all(ideals) -> Ideal:
-    """Fold intersection, cheapest (fewest generators) first."""
-    ideals = sorted(ideals, key=lambda I: len(I.gens))
+    """Fold intersection over the ideals in the order given; the result
+    is the same ideal in any order, but the cost is not (see
+    ``decomp.symbolic_power``)."""
+    ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
     acc = ideals[0]

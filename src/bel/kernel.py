@@ -326,6 +326,23 @@ def buchberger(gens, nvars, stats=None) -> Basis:
     return Basis([_to_terms(g, st) for g in gb], nvars, tuple(_prep(g) for g in gb))
 
 
+def eliminated(basis: Basis, k: int) -> Basis:
+    """The elements of a reduced basis free of its first k variables, as
+    the reduced basis of the elimination ideal in the last nvars - k.
+
+    The first k variables of a lex order are an elimination block, so
+    those elements are that ideal's reduced basis (the elimination
+    theorem).  A leading monomial free of the block bounds every term
+    below it, so they are a suffix of the basis, and their packed
+    monomials, whose leading fields are zero, are the same integers in
+    the smaller layout: the reducers carry over as they are.
+    """
+    top = 1 << (_FIELD_BITS * (basis.nvars - k))
+    i = next((i for i, (lm, _) in enumerate(basis.reducers) if lm < top), len(basis))
+    return Basis([tuple((m[k:], c) for m, c in g) for g in basis[i:]],
+                 basis.nvars - k, basis.reducers[i:])
+
+
 def normal_form(f, basis, nvars) -> tuple:
     """Remainder of f on full division by the (nonzero) polynomials in
     basis, tried in basis order.  A Basis of this nvars lends its packed

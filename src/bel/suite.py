@@ -102,7 +102,8 @@ def criterion_gb_combinatorial(n6_samples: int = 25) -> CriterionResult:
 
 
 def criterion_decomposition() -> CriterionResult:
-    """J_G equals the intersection of all 2^n prime components P_U."""
+    """J_G equals the intersection of all 2^n prime components P_U,
+    folded in subset order, P_emptyset first."""
 
     def run():
         graphs = corpus.connected_transversal_upto(5)

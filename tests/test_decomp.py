@@ -1,9 +1,9 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from bel import corpus, kernel
+from bel import corpus, decomp, kernel
 from bel.bei import binomial_edge_ideal
 from bel.decomp import (
     _inclusion_minimal,
@@ -29,7 +29,7 @@ def U_sets(primes):
 
 def test_prime_component_shape():
     pc = prime_component(Graph.path(3), {2})
-    assert pc.c == 2
+    assert (pc.c, pc.dim) == (2, 4)  # height 2 in 6 variables
     assert sorted(map(sorted, pc.components)) == [[1], [3]]
     # generators: x2, y2 and nothing else (singleton components)
     assert len(pc.ideal.gens) == 2
@@ -155,6 +155,8 @@ def test_theorem_route_agrees_with_groebner(small_transversal):
 NET_WITNESS = ("x1*x4*x5*y2*y3*y6 - x1*x4*x6*y2*y3*y5 - x2*x4*x5*y1*y3*y6 + x2*x5*x6*y1*y3*y4"
                " + x3*x4*x6*y1*y2*y5 - x3*x5*x6*y1*y2*y4")
 HOUSE = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+HOUSE_DIAGONAL = Graph(5, HOUSE.edges | {(1, 2)})
+K23 = Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 def test_verdict_route(monkeypatch):
@@ -163,8 +165,8 @@ def test_verdict_route(monkeypatch):
     groebner_cases = [
         (net_graph(), None, False, NET_WITNESS),
         (HOUSE, None, True, None),
-        (Graph(5, HOUSE.edges | {(1, 2)}), None, True, None),  # the house with a diagonal
-        (Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)]), None, True, None),
+        (HOUSE_DIAGONAL, None, True, None),
+        (K23, None, True, None),
         (Graph.complete(4), None, True, None),
         (disjoint_union(Graph.path(3), Graph.path(3)), None, True, None),
         (Graph.path(3), PrimeField(32003), True, None),
@@ -191,3 +193,43 @@ def test_verdict_route(monkeypatch):
         equality_verdict(Graph.path(3), 0)
     with pytest.raises(SizeLimitError):
         equality_verdict(Graph.path(9), 2)
+
+
+def test_fold_order_does_not_change_the_basis():
+    """symbolic_power folds top-dimensional first, yet every order of the
+    three P_U^2 of the house, the house with a diagonal and K_{2,3}, and
+    three other orders of the six of C5, fold to its reduced basis; the
+    net, whose seven primes all have dimension 7, keeps its witness."""
+    for G in (HOUSE, HOUSE_DIAGONAL, K23):
+        want = symbolic_power(G, 2).groebner()
+        powers = [pc.ideal.power(2) for pc in minimal_primes(G)]
+        assert len(powers) == 3
+        for order in permutations(powers):
+            assert intersect_all(order).groebner() == want, sorted(G.edges)
+    C5 = Graph.cycle(5)
+    primes = minimal_primes(C5)
+    assert [pc.dim for pc in primes] == [6, 5, 5, 5, 5, 5]
+    powers = [pc.ideal.power(2) for pc in primes]
+    want = symbolic_power(C5, 2).groebner()
+    # P_emptyset^2 last, in the middle, and the list reversed
+    for order in (powers[1:] + powers[:1], powers[1:3] + powers[:1] + powers[3:], powers[::-1]):
+        assert intersect_all(order).groebner() == want
+    assert {pc.dim for pc in minimal_primes(net_graph())} == {7}
+    v = groebner_verdict(net_graph(), 2)
+    assert (v.equal, str(v.witness)) == (False, NET_WITNESS)
+
+
+def test_house_fold_reduces_few_s_polynomials(monkeypatch):
+    """The house's t=2 fold, with the basis of the result, reduces at most
+    1,500 S-polynomials: folded fewest generators first, P_emptyset^2 came
+    last and it reduced 3,387."""
+    stats = {}
+    buchberger, fold = kernel.buchberger, decomp.intersect_all
+
+    def counted_fold(ideals):
+        monkeypatch.setattr(kernel, "buchberger", lambda gens, nvars: buchberger(gens, nvars, stats))
+        return fold(ideals)
+
+    monkeypatch.setattr(decomp, "intersect_all", counted_fold)
+    symbolic_power(HOUSE, 2).groebner()
+    assert 0 < stats["reduced"] <= 1500

@@ -10,7 +10,7 @@ import pytest
 
 from bel import corpus, kernel
 from bel.bei import binomial_edge_ideal
-from bel.decomp import groebner_verdict, minimal_primes
+from bel.decomp import groebner_verdict, minimal_primes, symbolic_power
 from bel.errors import SizeLimitError
 from bel.fields import QQ, PrimeField
 from bel.graphs import Graph, net_graph
@@ -258,19 +258,57 @@ def test_kernel_output_is_canonical(monkeypatch):
 
 
 def _fold_system(G, t):
-    """The w-extended (gens, nvars) that the first step of G's t-th
-    symbolic-power fold, the intersection of the two P_U^t with the fewest
-    generators, hands the kernel."""
+    """The w-extended (gens, nvars) that intersecting the two P_U^t of G
+    with the fewest generators hands the kernel.  That is the first step
+    of G's t-th symbolic-power fold when both primes have the top
+    dimension, as on the net, where every minimal prime has dimension 7."""
     primes = minimal_primes(G, method="cutpoint")
     powers = sorted((pc.ideal.power(t) for pc in primes), key=lambda I: len(I.gens))
     captured = []
     real = kernel.buchberger
-    kernel.buchberger = lambda gens, nvars: captured.append((gens, nvars)) or []
+    kernel.buchberger = lambda gens, nvars: captured.append((gens, nvars)) or kernel.Basis((), nvars, ())
     try:
         powers[0].intersect(powers[1])
     finally:
         kernel.buchberger = real
     return captured[0]
+
+
+def test_eliminated_basis_is_the_kernels(monkeypatch):
+    """On every elimination step of the house's and the net's t=2
+    symbolic-power folds, the basis Ideal.eliminate hands on, reducers and
+    nvars included, equals kernel.buchberger recomputed on its polynomials
+    in the smaller ring, and the result's groebner() runs no Buchberger."""
+    steps = []
+    real = Ideal.eliminate
+
+    def record(self, k):
+        out = real(self, k)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(Ideal, "eliminate", record)
+    house = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    for G in (house, net_graph()):
+        symbolic_power(G, 2)
+    assert len(steps) == 2 + 6
+    monkeypatch.undo()
+    for E in steps:
+        basis = E._basis
+        want = kernel.buchberger(list(basis), E.ring.nvars)
+        assert isinstance(basis, kernel.Basis) and basis.nvars == want.nvars == E.ring.nvars
+        assert basis == want and basis.reducers == want.reducers
+        monkeypatch.setattr(kernel, "buchberger", None)
+        assert [g.terms for g in E.groebner()] == list(want)
+        monkeypatch.undo()
+    # a basis with no element free of the block, and one with every element
+    R = RingContext(("w", "a", "b"))
+    w, a, b = (R.var(i) for i in range(3))
+    for gens, kept in (([w - a, a * b], 1), ([w - a], 0), ([a - b, b * b], 2)):
+        basis = kernel.buchberger([g.terms for g in gens], 3)
+        got = kernel.eliminated(basis, 1)
+        assert (got.nvars, len(got)) == (2, kept)
+        assert got == kernel.buchberger(list(got), 2) and got.reducers == basis.reducers[len(basis) - kept:]
 
 
 def test_buchberger_matches_textbook_oracle():
