@@ -2,7 +2,9 @@
 
 Rationals are fractions.Fraction, the one rational type.  Field elements
 only need +, -, *, /, unary -, == and truthiness (zero is falsy); the
-Groebner kernel relies on nothing else.
+Groebner kernel relies on nothing else, except that it recognizes a
+``Fraction`` with denominator 1 by its type and computes on its ``int``
+numerator, returning a ``Fraction`` again (see bel.kernel).
 """
 
 from __future__ import annotations

@@ -11,13 +11,20 @@ ValueError.  So one guard bit per field is free and
   * divisibility and lcm are borrow-tricks on the guard bits.
 
 Polynomials enter the kernel as (exponent_tuple, coeff) pairs in any
-order; coefficients are opaque field elements (see bel.fields).  Every
+order; coefficients are opaque field elements (see bel.fields), with one
+exception: a ``Fraction`` with denominator 1 is packed as its ``int``
+numerator, so over QQ the kernel computes on plain integers, and
+``Fraction`` arithmetic runs only where a non-integral value enters or
+arises (a value it reaches may stay a ``Fraction`` though integral).  Every
 polynomial it returns is already canonical ``Polynomial.terms``: a tuple
 of terms sorted strictly descending, with nonzero coefficients and tuple
-exponent vectors.  ``buchberger`` returns a ``Basis``, which also keeps
-the monic (lm, tail) reducers that ``normal_form`` reduces by; a Basis
-cannot be changed, so they never go stale.  Reduction and S-polynomials
-only multiply and subtract: ``_monic`` is the one place that divides.
+exponent vectors, each ``int`` coefficient a ``Fraction`` again.
+``buchberger`` returns a ``Basis``, which also keeps the monic (lm, tail)
+reducers that ``normal_form`` reduces by; a Basis cannot be changed, so
+they never go stale.  Reduction and S-polynomials only multiply and
+subtract: ``_monic`` is the one place that divides, and it divides an
+``int`` only by a ``Fraction``, never by another ``int``, whose quotient
+would be a float.
 Callers go through this module's attributes (``kernel.buchberger``
 etc.), so a wrapper bound here sees every call.
 
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from fractions import Fraction
 
 from .errors import SizeLimitError
 
@@ -101,14 +109,16 @@ def _to_packed(poly, st, guards):
             acc[m] = acc[m] + c
         else:
             acc[m] = c
-    terms = [(m, c) for m, c in acc.items() if c]
+    terms = [(m, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+             for m, c in acc.items() if c]
     terms.sort(reverse=True)
     return terms
 
 
 def _to_terms(terms, st) -> tuple:
-    """A packed term list as canonical ``Polynomial.terms``."""
-    return tuple([(_unpack(m, st), c) for m, c in terms])
+    """A packed term list as canonical ``Polynomial.terms``, each integer
+    coefficient a Fraction again."""
+    return tuple([(_unpack(m, st), Fraction(c) if type(c) is int else c) for m, c in terms])
 
 
 def _reduce_full(terms, basis, guards):
@@ -155,8 +165,12 @@ def _prep(g):
 
 def _monic(g):
     lc = g[0][1]
-    if lc == 1:  # Fraction and FpElement both compare equal to the int 1
+    if lc == 1:  # int, Fraction and FpElement all compare equal to the int 1
         return g
+    if type(lc) is int:
+        if lc == -1:
+            return [(m, -c) for m, c in g]
+        lc = Fraction(lc)  # an int divided by an int would be a float
     return [(m, c / lc) for m, c in g]
 
 
@@ -255,7 +269,8 @@ def _buchberger_packed(gens, guards, stats=None):
     # the generators, each with its maximal total degree as sugar, then
     # each nonzero remainder with the sugar of its pair, join through one
     # update; pairs are reduced in ascending (sugar, lcm, a, b) order
-    todo = [(g, max(_degree(m) for m, _ in g)) for g in _autoreduce(gens, guards)[::-1]]
+    swept = _autoreduce(gens, guards)
+    todo = [(g, max(_degree(m) for m, _ in g)) for g in swept[::-1]]
     while todo or pairs:
         if todo:
             r, s = todo.pop()
@@ -275,6 +290,15 @@ def _buchberger_packed(gens, guards, stats=None):
     if stats is not None:
         stats["basis_peak"] = len(G)
 
+    # with no remainder joined, G is the first sweep; if its leading
+    # monomials still ascend, no term of an element is divisible by an
+    # earlier leading monomial (the sweep reduced it) or a later one (which
+    # exceeds every term), so it is already the reduced basis.  A sweep that
+    # lowered a leading monomial out of order can leave an earlier element a
+    # term that the lowered one divides, so then the sweep below still runs.
+    if len(G) == len(swept) and all(a[0][0] < b[0][0] for a, b in zip(swept, swept[1:])):
+        return swept[::-1]
+
     # G is a Groebner basis, so one sweep from the smallest leading monomial
     # up leaves the unique reduced basis: an element whose leading monomial
     # a smaller one divides reduces to zero against the results before it
@@ -287,7 +311,9 @@ class Basis(tuple):
     """The canonical polynomials of a reduced Groebner basis, with the
     ``nvars`` they were packed for and ``reducers``, the packed (lm, tail)
     pair of each, in the same order; every element is monic, so a reducer
-    leaves its leading coefficient 1 implicit."""
+    leaves its leading coefficient 1 implicit.  Over QQ the reducers keep
+    the kernel's own coefficients, mostly plain ``int``s, while the
+    polynomials carry ``Fraction``s."""
 
     def __new__(cls, polys, nvars, reducers):
         self = super().__new__(cls, polys)

@@ -2,6 +2,7 @@
 oracles (a textbook Buchberger, a dict-based pair update) and its own
 invariants."""
 
+import hashlib
 import heapq
 import random
 from fractions import Fraction
@@ -223,6 +224,140 @@ def test_monic_keeps_a_monic_input_without_dividing():
     for one, two in ((NoDivFraction(1), NoDivFraction(2)), (NoDivFp(1, FP.p), NoDivFp(2, FP.p))):
         g = [(5, one), (3, two)]
         assert kernel._monic(g) is g
+
+
+# k[x, y, z, w] with x > y > z > w; the exponent vectors of its variables
+_X, _Y, _Z, _W = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _m(*factors):
+    """The product of monomials given as exponent vectors."""
+    return tuple(map(sum, zip(*factors, (0, 0, 0, 0))))
+
+
+# QQ systems whose leading coefficients are 1, -1, 2, -3 and 1/3, with
+# non-integral coefficients met on the way and in the reduced bases
+_COEFF_SYSTEMS = (
+    [[(_X, Fraction(2)), (_Y, Fraction(1))]],  # 2x + y: x + y/2, never y * 0.5
+    [[(_X, Fraction(1, 3)), (_Y, Fraction(1))],  # x/3 + y
+     [(_m(_Y, _Z), Fraction(2)), (_W, Fraction(-1))],  # 2yz - w
+     [(_m(_Z, _Z), Fraction(-3)), (_W, Fraction(1))],  # -3z^2 + w
+     [(_m(_X, _W), Fraction(-1)), (_Z, Fraction(1))]],  # -xw + z
+    [[(_m(_X, _X), Fraction(1)), (_Y, Fraction(-2))],  # x^2 - 2y
+     [(_m(_X, _Y), Fraction(-3)), (_m(_Z, _W), Fraction(1)), (_m(), Fraction(1, 2))],
+     [(_Z, Fraction(2)), (_m(_Y, _W), Fraction(1))]],  # 2z + yw
+)
+# probes for normal_form with integral and non-integral coefficients; only
+# the second system's basis reduces the last one
+_COEFF_PROBES = (
+    [(_m(_X, _X, _Y), Fraction(1)), (_m(_Z, _W), Fraction(3, 2)), (_Y, Fraction(-1))],
+    [(_m(_X, _Z, _W), Fraction(-2)), (_m(_Y, _Y, _Z), Fraction(5)), (_W, Fraction(1))],
+    [(_m(_W, _W, _W, _W), Fraction(-3))],
+)
+
+
+def _in_field(poly, field):
+    """A QQ polynomial's image in field (QQ or a prime field)."""
+    return [(m, c if field is QQ else field.from_rational(c)) for m, c in poly]
+
+
+def _sub(f, g):
+    """f - g as a term list, zero terms dropped."""
+    acc = dict(f)
+    for m, c in g:
+        acc[m] = acc.get(m, 0) - c
+    return [(m, c) for m, c in acc.items() if c]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["QQ", "Fp"])
+def test_every_entry_point_returns_field_coefficients(field):
+    """buchberger, normal_form against a Basis and against a foreign basis
+    with leading coefficients 1, -1, 2 and -3, interreduce and eliminated
+    return the textbook oracle's polynomials, each coefficient of the
+    field's own type (Fraction or FpElement): never an int, although the
+    kernel computes over QQ on plain integers, and never a float, which an
+    int divided by an int would give.  Over the prime field the oracle's
+    rational basis is mapped term by term; 32003 divides no coefficient."""
+    kind = type(field.one)
+
+    def typed(polys):
+        assert all(type(c) is kind for g in polys for _, c in g)
+        return [list(g) for g in polys]
+
+    for system in _COEFF_SYSTEMS:
+        want = oracle_buchberger(system)
+        gens = [_in_field(g, field) for g in system]
+        gb = kernel.buchberger(gens, 4)
+        assert typed(gb) == [_in_field(g, field) for g in want]
+        # the elimination ideal of x is spanned by the oracle's x-free elements
+        free = [[(m[1:], c) for m, c in g] for g in want if all(m[0] == 0 for m, _ in g)]
+        assert typed(kernel.eliminated(gb, 1)) == [_in_field(g, field) for g in free]
+        swept = kernel.interreduce(gens, 4)
+        assert typed(swept) and kernel.buchberger(swept, 4) == gb
+        units = [field.from_int(u) for u in (1, -1, 2, -3)]
+        foreign = [[(m, units[i % 4] * c) for m, c in g] for i, g in enumerate(gb)]
+        lms = [g[0][0] for g in want]
+        for probe in _COEFF_PROBES:
+            f = _in_field(probe, field)
+            nf = kernel.normal_form(f, gb, 4)
+            assert typed([nf]) == typed([kernel.normal_form(f, foreign, 4)])
+            # no term of the remainder is divisible by a leading monomial
+            assert not any(_divides(lm, m) for m, _ in nf for lm in lms)
+            if field is QQ:  # and f - nf lies in the ideal
+                assert oracle_buchberger(want + [_sub(f, nf)]) == want
+            else:
+                qq = kernel.normal_form(probe, kernel.buchberger(system, 4), 4)
+                assert list(nf) == _in_field(qq, field)
+
+
+def test_skipped_final_sweep_keeps_the_reduced_basis():
+    """{xy - z, xy - w}: no S-polynomial joins the first sweep [xy - z,
+    z - w], yet z divides a term of the earlier element, because the sweep
+    lowered the leading monomial of the second; the reduced basis is
+    [xy - w, z - w], as the textbook oracle finds."""
+    gens = [[(_m(_X, _Y), Fraction(1)), (_Z, Fraction(-1))],
+            [(_m(_X, _Y), Fraction(1)), (_W, Fraction(-1))]]
+    stats = {}
+    gb = kernel.buchberger(gens, 4, stats)
+    assert stats["reduced"] == 0 and stats["basis_peak"] == 2
+    assert [list(g) for g in gb] == oracle_buchberger(gens)
+    assert gb == ((((1, 1, 0, 0), 1), ((0, 0, 0, 1), -1)), (((0, 0, 1, 0), 1), ((0, 0, 0, 1), -1)))
+
+
+# sha256 of every kernel.buchberger output, its coefficients' type names
+# included, over the corpus of test_kernel_output_digest, as computed with
+# the kernel on Fraction coefficients throughout
+_KERNEL_DIGEST = ("1d2cafb95c57526d57ff8dd6c856d1c9a8094b4ab8045236cf91b6870846a703", 71)
+
+
+def test_kernel_output_digest(monkeypatch):
+    """Every kernel.buchberger output met while computing J_G and J_G^2 of
+    each connected graph with n <= 4, over QQ and F_32003, and the house's
+    t=2 symbolic square, hashes to the pinned digest: the same polynomials,
+    the same coefficient values and the same coefficient types."""
+    digest, calls = hashlib.sha256(), []
+    real = kernel.buchberger
+
+    def record(gens, nvars, stats=None):
+        out = real(gens, nvars, stats)
+        calls.append(nvars)
+        digest.update(repr((nvars, [[(m, type(c).__name__, str(c)) for m, c in g]
+                                    for g in out])).encode())
+        return out
+
+    monkeypatch.setattr(kernel, "buchberger", record)
+    for field in (QQ, FP):
+        for G in corpus.connected_transversal_upto(4):
+            J = binomial_edge_ideal(G, field)
+            J.groebner()
+            J.power(2).groebner()
+    house = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    symbolic_power(house, 2).groebner()
+    assert (digest.hexdigest(), len(calls)) == _KERNEL_DIGEST
 
 
 def test_kernel_output_is_canonical(monkeypatch):
