@@ -1,8 +1,11 @@
 """Deterministic graph corpora for the verification suite.
 
-Everything is generated, never shipped: exhaustive enumeration with
-isomorphism-class transversals for small n, fixed-seed samples at n = 6,
-Pruefer-sequence trees, and a recipe-built generalized-caterpillar corpus.
+Everything is generated, never shipped.  ``graphs_upto`` lists one graph
+per isomorphism class, and the class corpora (connected graphs,
+caterpillar trees) are its members.  ``all_graphs`` and
+``connected_graphs`` list every labelling, for the checks whose answer
+depends on it.  Fixed-seed samples cover n = 6, and a recipe-built
+corpus covers the generalized caterpillars.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ def transversal(graphs) -> list:
     return out
 
 
-def connected_transversal_upto(max_n: int) -> list:
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(transversal(connected_graphs(n)))
-    return out
-
-
 def random_connected_graphs(n: int, count: int, seed: int = 20240601) -> list:
     """Fixed-seed connected samples, pairwise non-isomorphic."""
     rng = random.Random(seed)
@@ -102,46 +98,9 @@ def random_connected_graphs(n: int, count: int, seed: int = 20240601) -> list:
     return out
 
 
-def trees(n: int) -> list:
-    """All labeled trees on n vertices via Pruefer sequences."""
-    if n == 1:
-        return [Graph.empty(1)]
-    if n == 2:
-        return [Graph.from_edges(2, [(1, 2)])]
-    out = []
-    verts = list(range(1, n + 1))
-    def decode(seq):
-        degree = {v: 1 for v in verts}
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        seq = list(seq)
-        for v in seq:
-            leaf = min(u for u in verts if degree[u] == 1)
-            edges.append((leaf, v))
-            degree[leaf] -= 1
-            degree[v] -= 1
-        last = [u for u in verts if degree[u] == 1]
-        edges.append((last[0], last[1]))
-        return Graph.from_edges(n, edges)
-
-    def sequences(prefix, k):
-        if k == 0:
-            out.append(decode(prefix))
-            return
-        for v in verts:
-            sequences(prefix + [v], k - 1)
-
-    sequences([], n - 2)
-    return out
-
-
 def caterpillars_upto(max_n: int) -> list:
-    """Isomorphism-class transversal of caterpillar trees with n <= max_n."""
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(G for G in transversal(trees(n)) if is_caterpillar(G))
-    return out
+    """One caterpillar tree per isomorphism class with n <= max_n, by n."""
+    return [G for G in graphs_upto(max_n) if is_caterpillar(G)]
 
 
 def gencat_corpus() -> list:

@@ -144,11 +144,11 @@ def symbolic_power(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) ->
     Rauh 2010, Lemma 3.1), so its Krull dimension n - |U| + c(U)
     (``PrimeComponent.dim``) is read off the graph.  The powers are
     intersected in descending dimension, ties by fewer generators of
-    P_U^t, and the sort is stable over the minimal_primes order.  Each elimination step then meets the big
-    primes while the accumulated ideal is still small, rather than last,
-    after intersections of primes with disjoint U that are nearly
-    products.  The reduced basis of the result is unique, so the order
-    changes only the cost.
+    P_U^t, and the sort is stable over the minimal_primes order.  Each
+    elimination step then meets the big primes while the accumulated
+    ideal is still small, rather than last, after intersections of primes
+    with disjoint U that are nearly products.  The reduced basis of the
+    result is unique, so the order changes only the cost.
     """
     if t < 1:
         raise ValueError("symbolic power exponent must be >= 1")

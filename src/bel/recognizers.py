@@ -1,9 +1,10 @@
 """Graph-class recognizers and labeling constructions.
 
 Covers caterpillar trees, closed and weakly closed graphs (per-labeling
-checks plus exhaustive existential searches), comparability via
-transitive orientations, net-free graphs, and generalized caterpillars
-with explicit construction witnesses.
+checks plus exhaustive existential searches, which supply a labeling),
+comparability via transitive orientations, net-free graphs, and
+generalized caterpillars with explicit construction witnesses.  Weak
+closedness itself is decided by co-comparability at every n.
 """
 
 from __future__ import annotations
@@ -221,10 +222,16 @@ def find_weakly_closed_labeling(G: Graph):
 
 
 def is_weakly_closed(G: Graph) -> bool:
-    """Exhaustive labeling search up to the cap; larger graphs go through
-    comparability of the complement."""
-    if G.n <= LABELING_SEARCH_CAP:
-        return find_weakly_closed_labeling(G) is not None
+    """True iff the complement of G is a comparability graph (Matsuda
+    2018).
+
+    A labeling is weakly closed iff for labels i < j < k, non-edges
+    {i, j} and {j, k} force the non-edge {i, k}: that is, iff orienting
+    each non-edge from the smaller to the larger label is transitive.
+    Conversely, a linear extension of a transitive orientation of the
+    complement is a labeling whose non-edges point from smaller to
+    larger label, so it is weakly closed.
+    """
     return is_comparability(complement(G))
 
 

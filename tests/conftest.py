@@ -10,14 +10,18 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from bel.graphs import Graph, edge
+from bel import corpus
+from bel.graphs import Graph, edge, is_connected
+
+
+def connected_classes(max_n: int) -> list:
+    """One connected graph per isomorphism class on 1..max_n vertices."""
+    return [G for G in corpus.graphs_upto(max_n) if is_connected(G)]
 
 
 @pytest.fixture(scope="session")
 def small_transversal():
-    from bel import corpus
-
-    return corpus.connected_transversal_upto(5)
+    return connected_classes(5)
 
 
 def oracle_components(G: Graph) -> list:

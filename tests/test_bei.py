@@ -18,7 +18,7 @@ from bel.bei import (
 from bel.errors import SizeLimitError
 from bel.graphs import Graph, edge, net_graph
 from bel.recognizers import Labeling
-from conftest import oracle_admissible_paths
+from conftest import connected_classes, oracle_admissible_paths
 
 
 def test_edge_binomial():
@@ -66,7 +66,7 @@ def test_star_basis_frozen():
 
 
 def test_combinatorial_matches_buchberger_small():
-    for G in corpus.connected_transversal_upto(4):
+    for G in connected_classes(4):
         assert list(groebner_combinatorial(G)) == list(binomial_edge_ideal(G).groebner())
 
 
@@ -122,7 +122,7 @@ def test_min_degree_two_iff_closed():
     labeling exactly when it has a closed labeling."""
     from bel.recognizers import is_closed
 
-    for G in corpus.connected_transversal_upto(5):
+    for G in connected_classes(5):
         if not G.edges:
             continue
         assert (min_gb_degree(G) == 2) == is_closed(G), sorted(G.edges)

@@ -18,7 +18,7 @@ from bel.graphs import Graph, net_graph
 from bel.ideals import Ideal
 from bel.rings import Polynomial, RingContext
 
-from conftest import oracle_buchberger, oracle_update_pairs
+from conftest import connected_classes, oracle_buchberger, oracle_update_pairs
 
 FP = PrimeField(32003)
 
@@ -350,8 +350,12 @@ def test_kernel_output_digest(monkeypatch):
         return out
 
     monkeypatch.setattr(kernel, "buchberger", record)
+    # the first labelled graph of each class, as when the digest was
+    # pinned: the bases depend on the labelling, and graphs_upto labels
+    # half of these classes differently
+    graphs = [G for n in range(1, 5) for G in corpus.transversal(corpus.connected_graphs(n))]
     for field in (QQ, FP):
-        for G in corpus.connected_transversal_upto(4):
+        for G in graphs:
             J = binomial_edge_ideal(G, field)
             J.groebner()
             J.power(2).groebner()
@@ -380,7 +384,7 @@ def test_kernel_output_is_canonical(monkeypatch):
 
     for name in outputs:
         monkeypatch.setattr(kernel, name, record(name))
-    for G in corpus.connected_transversal_upto(4) + [net_graph()]:
+    for G in connected_classes(4) + [net_graph()]:
         binomial_edge_ideal(G).groebner()
         groebner_verdict(G, 2)
     for name, calls in outputs.items():
@@ -451,7 +455,7 @@ def test_buchberger_matches_textbook_oracle():
     for every connected graph with n <= 4, on J_{P_4}^2, and on three
     non-homogeneous intersection systems."""
     systems = []
-    for G in corpus.connected_transversal_upto(4):
+    for G in connected_classes(4):
         I = binomial_edge_ideal(G)
         systems.append(([g.terms for g in I.gens], I.ring.nvars))
     I = binomial_edge_ideal(Graph.path(4)).power(2)

@@ -9,7 +9,13 @@ from bel.decomp import minimal_primes
 from bel.fields import QQ
 from bel.graphs import Graph, complement, connected_components, disjoint_union
 from bel.ideals import Ideal
-from bel.recognizers import Labeling, is_comparability, is_net_free, is_weakly_closed
+from bel.recognizers import (
+    Labeling,
+    find_weakly_closed_labeling,
+    is_comparability,
+    is_net_free,
+    is_weakly_closed,
+)
 
 
 @st.composite
@@ -39,8 +45,10 @@ def test_recognizers_are_isomorphism_invariant(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_weak_closedness_equals_co_comparability(data):
+    """The labeling search, not is_weakly_closed, which decides by
+    co-comparability itself."""
     G = data.draw(graphs())
-    assert is_weakly_closed(G) == is_comparability(complement(G))
+    assert (find_weakly_closed_labeling(G) is not None) == is_comparability(complement(G))
 
 
 @settings(max_examples=25, deadline=None)

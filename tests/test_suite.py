@@ -42,7 +42,11 @@ def test_timed_catches_exceptions():
 
 
 def test_quick_skip_carries_the_full_run_name(monkeypatch):
-    full = suite.criterion_net_negative()
+    """A --quick skip carries the id and name that criterion 6 hands to
+    _timed, read without running the net's t=2 verdict."""
+    handed = []
+    monkeypatch.setattr(suite, "_timed", lambda cid, name, fn: handed.append((cid, name)))
+    suite.criterion_net_negative()
 
     def stub():
         return CriterionResult(0, "stub", True, 0.0)
@@ -52,4 +56,5 @@ def test_quick_skip_carries_the_full_run_name(monkeypatch):
                          for fn in suite.ALL_CRITERIA])
     quick = suite.run_suite(quick=True)
     assert quick[5].skipped
-    assert quick[5].name == full.name == "net graph: powers differ at t=2 with verified witness"
+    assert handed == [(6, quick[5].name)]
+    assert quick[5].name == "net graph: powers differ at t=2 with verified witness"
