@@ -99,16 +99,17 @@ def groebner_combinatorial(G: Graph, field=QQ) -> list:
 
 
 def initial_ideal(G: Graph, field=QQ) -> Ideal:
-    """Ideal of leading monomials of the combinatorial basis; a minimal
-    generating set (no generator divides another)."""
+    """Ideal of leading monomials of the combinatorial basis, generated by
+    u_pi * x_i * y_j for each admissible path pi from i to j; the leading
+    monomials of a reduced basis never divide one another, so these
+    generators are already minimal."""
     R = graph_ring(G, field)
-    lms = sorted({g.leading_monomial() for g in groebner_combinatorial(G, field)})
-    minimal = []
-    for m in lms:
-        if not any(all(a <= b for a, b in zip(k, m)) for k in minimal):
-            minimal.append(m)
-    gens = [Polynomial(R, ((m, R.field.one),)) for m in minimal]
-    return Ideal(R, gens)
+    lms = set()
+    for p in admissible_paths(G):
+        m = list(p.monomial_exponents(R))
+        m[p.i - 1] = m[G.n + p.j - 1] = 1
+        lms.add(tuple(m))
+    return Ideal(R, [Polynomial(R, ((m, R.field.one),)) for m in sorted(lms)])
 
 
 def gb_max_degree(G: Graph, lab: Labeling | None = None) -> int:

@@ -5,6 +5,7 @@ odd cycle search driving the power-equality criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .graphs import Graph
 from .ideals import Ideal
@@ -55,19 +56,19 @@ class SpecialCycle:
 
 
 def delta_of(I: Ideal) -> SimplicialComplex:
-    """Complex whose facets are the supports of the minimal squarefree
-    generators of a monomial ideal."""
+    """Complex whose facets are the supports of the minimal generators of
+    a squarefree monomial ideal, read off its generators."""
     R = I.ring
-    gb = I.groebner()
-    facets = []
-    for g in gb:
-        if len(g.terms) != 1:
-            raise ValueError("not a monomial ideal")
-        m = g.leading_monomial()
-        if any(e > 1 for e in m):
-            raise ValueError("generator is not squarefree")
-        facets.append(frozenset(R.names[i] for i, e in enumerate(m) if e))
-    return SimplicialComplex(tuple(R.names), tuple(sorted(set(facets), key=sorted)))
+    if any(len(g.terms) != 1 for g in I.gens):
+        raise ValueError("not a monomial ideal")
+    minimal = []  # a proper divisor is lex-smaller, so it comes first
+    for m in sorted({g.leading_monomial() for g in I.gens}):
+        if not any(all(map(le, k, m)) for k in minimal):
+            minimal.append(m)
+    if any(e > 1 for m in minimal for e in m):
+        raise ValueError("generator is not squarefree")
+    facets = [frozenset(R.names[i] for i, e in enumerate(m) if e) for m in minimal]
+    return SimplicialComplex(tuple(R.names), tuple(sorted(facets, key=sorted)))
 
 
 def find_special_odd_cycle(cx: SimplicialComplex):

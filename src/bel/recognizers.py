@@ -4,7 +4,9 @@ Covers caterpillar trees, closed and weakly closed graphs (per-labeling
 checks plus exhaustive existential searches, which supply a labeling),
 comparability via transitive orientations, net-free graphs, and
 generalized caterpillars with explicit construction witnesses.  Weak
-closedness itself is decided by co-comparability at every n.
+closedness itself is decided by co-comparability at every n.  The
+caterpillar spine and the generalized-caterpillar witness are read off
+the block structure, without enumerating paths.
 """
 
 from __future__ import annotations
@@ -59,38 +61,6 @@ class Labeling:
         return relabel(G, self.as_dict())
 
 
-@dataclass(frozen=True)
-class VertexPath:
-    """A sequence of distinct vertices, consecutive pairs adjacent."""
-
-    vertices: tuple
-
-
-def _canonical_seq(seq: tuple) -> tuple:
-    rev = tuple(reversed(seq))
-    return seq if seq <= rev else rev
-
-
-def simple_paths(G: Graph):
-    """All simple paths (including single vertices), one canonical
-    direction each, sorted by length descending then lexicographically."""
-    found = set()
-
-    def extend(path, used):
-        found.add(_canonical_seq(tuple(path)))
-        for w in sorted(G.adj[path[-1]]):
-            if w not in used:
-                path.append(w)
-                used.add(w)
-                extend(path, used)
-                used.discard(w)
-                path.pop()
-
-    for v in G.vertices:
-        extend([v], {v})
-    return sorted(found, key=lambda p: (-len(p), p))
-
-
 # ------------------------------------------------------------- caterpillars
 
 def is_tree(G: Graph) -> bool:
@@ -106,20 +76,34 @@ def is_caterpillar(G: Graph) -> bool:
     return all(len(G.adj[v] & internal) <= 2 for v in internal)
 
 
-def central_path(G: Graph) -> VertexPath:
-    """A longest induced path of a caterpillar tree (in a tree every path
-    is induced); ties broken by lexicographically least vertex sequence."""
+def central_path(G: Graph) -> tuple:
+    """A longest path of a caterpillar tree, each path read in its
+    lexicographically smaller direction and ties broken by the least
+    vertex sequence.
+
+    The non-leaf vertices form a path, the spine.  A longest path ends in
+    two leaves, so its interior is a subpath of the spine, and each end
+    of the spine carries a leaf: the longest paths are a leaf at one end
+    of the spine, the spine, and a leaf at the other end."""
     if not is_caterpillar(G):
         raise ValueError("not a caterpillar tree")
-    best = simple_paths(G)[0]
-    return VertexPath(best)
+    if G.n <= 2:
+        return tuple(G.vertices)
+    inner = {v for v in G.vertices if G.degree(v) >= 2}
+    spine = [min(v for v in inner if len(G.adj[v] & inner) <= 1)]
+    while len(spine) < len(inner):
+        (nxt,) = G.adj[spine[-1]] & inner - set(spine)
+        spine.append(nxt)
+    paths = [(a, *spine, b) for a in G.adj[spine[0]] - inner
+             for b in G.adj[spine[-1]] - inner if a != b]
+    return min(min(p, p[::-1]) for p in paths)
 
 
 def caterpillar_labeling(G: Graph) -> Labeling:
     """Labeling used for caterpillar trees: a degree-one endpoint of the
     central path gets 1, then each path vertex precedes its whisker
     vertices, which precede the next path vertex."""
-    P = central_path(G).vertices
+    P = central_path(G)
     pset = set(P)
     order = []
     for v in P:
@@ -315,15 +299,14 @@ class GenCatWitness:
     clique joins on distinct path edges, then whiskers."""
 
     n: int
-    path: VertexPath
+    path: tuple  # vertex sequence, consecutive vertices adjacent
     joins: tuple  # ((u, v), t, new_vertices) per clique join
     whiskers: tuple  # (attach_vertex, leaf)
 
     def replay(self) -> Graph:
         """Rebuild the host graph from the witness."""
         edges = set()
-        vs = self.path.vertices
-        for a, b in zip(vs, vs[1:]):
+        for a, b in zip(self.path, self.path[1:]):
             edges.add(edge(a, b))
         for (e, t, new) in self.joins:
             members = sorted(set(e) | set(new))
@@ -339,56 +322,62 @@ class GenCatWitness:
 def is_generalized_caterpillar(G: Graph):
     """Witness decomposition as a generalized caterpillar, or None.
 
-    A decomposition is found by searching paths P (longest first): every
-    block of size >= 3 must meet P in exactly one path edge, and every
-    remaining off-path vertex must be a pendant attached to P or to a
-    clique vertex.  The witness is validated by replaying it.
+    G is one iff it is a connected block graph whose core, the blocks
+    holding no leaf, forms a path: no vertex lies in three core blocks
+    and no core block shares three vertices with the others (pendant
+    edges are leaves of the block-cutpoint tree, so the core is a
+    subtree).  Only if: a leaf at an end of a witness path can be re-read
+    as a whisker; then the core blocks are the path edges, each grown
+    into a clique when joined, in path order.  If: every bridge between
+    non-leaves must be a path edge, or replay misses it, so the path
+    visits every core block and passes through each big block on exactly
+    two vertices; the walk below builds it.  Each end is a non-cut vertex
+    of an end block, one carrying a whisker first (else ``gencat_labeling``
+    would place that whisker away from its vertex), then extended by its
+    least whisker; a star's path is its centre so extended.  The witness
+    is checked by replay.
     """
     if not is_connected(G) or not is_block_graph(G):
         return None
-    big = [frozenset(b) for b in blocks(G) if len(b) >= 3]
-    big_vertices = set().union(*big) if big else set()
-    for seq in simple_paths(G):
-        pset = set(seq)
-        pos = {v: i for i, v in enumerate(seq)}
-        ok = True
-        joins = []
-        for b in big:
-            inter = b & pset
-            if len(inter) != 2:
-                ok = False
-                break
-            u, v = sorted(inter, key=pos.get)
-            if pos[v] - pos[u] != 1:
-                ok = False
-                break
-            joins.append((edge(u, v), len(b), tuple(sorted(b - inter))))
-        if not ok:
-            continue
-        whiskers = []
-        for w in G.vertices:
-            if w in pset or w in big_vertices:
-                continue
-            nbrs = G.neighbors(w)
-            if len(nbrs) != 1:
-                ok = False
-                break
-            (attach,) = nbrs
-            if attach not in pset and attach not in big_vertices:
-                ok = False
-                break
-            whiskers.append((attach, w))
-        if not ok:
-            continue
-        witness = GenCatWitness(
-            G.n,
-            VertexPath(seq),
-            tuple(sorted(joins)),
-            tuple(sorted(whiskers, key=lambda p: p[1])),
-        )
-        if witness.replay() == G:
-            return witness
-    return None
+    if G.n <= 2:
+        return GenCatWitness(G.n, tuple(G.vertices), (), ())
+    leaves = {v for v in G.vertices if G.degree(v) == 1}
+    core = [b for b in blocks(G) if not b & leaves]
+    home = {}
+    for i, b in enumerate(core):
+        for v in b:
+            home.setdefault(v, []).append(i)
+    shared = [{v for v in b if len(home[v]) > 1} for b in core]
+    if any(len(h) > 2 for h in home.values()) or any(len(s) > 2 for s in shared):
+        return None
+    whiskers = {v: sorted(G.adj[v] & leaves) for v in G.vertices}
+    if core:
+        i = next(i for i, s in enumerate(shared) if len(s) <= 1)
+        first, cuts = i, []
+        while nxt := shared[i] - set(cuts):
+            (c,) = nxt
+            cuts.append(c)
+            (i,) = set(home[c]) - {i}
+        rank = {v: (not whiskers[v], v) for v in G.vertices}
+        a = min(core[first] - set(cuts), key=rank.get)
+        b = min(core[i] - set(cuts) - {a}, key=rank.get)
+        path = [a, *cuts, b]
+    else:
+        path = [v for v in G.vertices if v not in leaves]
+    head = whiskers[path[0]][:1]
+    tail = [w for w in whiskers[path[-1]] if w not in head][:1]
+    path = head + path + tail
+    path = tuple(min(path, path[::-1]))
+    on_path = set(path)
+    joins = sorted((edge(*(b & on_path)), len(b), tuple(sorted(b - on_path)))
+                   for b in core if len(b) >= 3)
+    witness = GenCatWitness(
+        G.n,
+        path,
+        tuple(joins),
+        tuple((min(G.adj[w]), w) for w in sorted(leaves - on_path)),
+    )
+    return witness if witness.replay() == G else None
 
 
 def gencat_labeling(G: Graph) -> Labeling:
@@ -400,7 +389,7 @@ def gencat_labeling(G: Graph) -> Labeling:
     witness = is_generalized_caterpillar(G)
     if witness is None:
         raise ValueError("not a generalized caterpillar")
-    P = witness.path.vertices
+    P = witness.path
     block_on_edge = {e: set(e) | set(new) for (e, t, new) in witness.joins}
     pend = {}
     for attach, leaf in witness.whiskers:

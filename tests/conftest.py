@@ -82,6 +82,18 @@ def oracle_is_net_free(G: Graph) -> bool:
                    for sub in combinations(G.vertices, 6))
 
 
+def oracle_central_path(G: Graph) -> tuple:
+    """The longest simple path of G, each read in its lexicographically
+    smaller direction, least vertex sequence first, by networkx's
+    enumeration of every simple path between every pair."""
+    import networkx as nx
+
+    g = G.to_networkx()
+    paths = [(v,) for v in G.vertices] + [
+        tuple(p) for u, v in combinations(G.vertices, 2) for p in nx.all_simple_paths(g, u, v)]
+    return min((min(p, p[::-1]) for p in paths), key=lambda p: (-len(p), p))
+
+
 def oracle_cutpoints(G: Graph) -> set:
     """A vertex is a cutpoint iff deleting it increases the number of
     components of its own component."""
@@ -142,17 +154,18 @@ def oracle_is_comparability(G: Graph) -> bool:
 
 def oracle_special_odd_cycles(facets) -> list:
     """Every special odd cycle of a facet list, by exhaustive search over
-    ordered vertex/facet sequences.  Feasible only for tiny complexes."""
+    ordered facet sequences F_1, ..., F_s of odd length s >= 3, each
+    v_{i+1} drawn from F_i & F_{i+1} (and v_1 from F_s & F_1), kept when
+    the vertices are distinct and no F_i holds more than two of them.
+    Feasible only for tiny complexes."""
     facets = list(facets)
-    verts = sorted(set().union(*facets)) if facets else []
     found = []
     for s in range(3, len(facets) + 1, 2):
-        for vseq in permutations(verts, s):
-            for fseq in permutations(range(len(facets)), s):
-                fs = [facets[i] for i in fseq]
-                if all(vseq[i] in fs[i] and vseq[(i + 1) % s] in fs[i] for i in range(s)):
-                    if all(len(f & set(vseq)) <= 2 for f in fs):
-                        found.append((vseq, tuple(fseq)))
+        for fseq in permutations(range(len(facets)), s):
+            fs = [facets[i] for i in fseq]
+            for vseq in product(*(fs[i - 1] & fs[i] for i in range(s))):
+                if len(set(vseq)) == s and all(len(f & set(vseq)) <= 2 for f in fs):
+                    found.append((vseq, fseq))
     return found
 
 

@@ -82,6 +82,12 @@ def test_initial_ideal_squarefree_and_minimal():
                     assert not all(a <= b for a, b in zip(k, m))
 
 
+def test_initial_ideal_matches_buchberger_leading_monomials():
+    for G in connected_classes(5):
+        lms = sorted(g.leading_monomial() for g in binomial_edge_ideal(G).groebner())
+        assert [g.leading_monomial() for g in initial_ideal(G).gens] == lms
+
+
 def test_gb_max_degree():
     assert gb_max_degree(Graph.path(4)) == 2
     assert gb_max_degree(Graph.star(3)) == 3

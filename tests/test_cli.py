@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import bel
 from bel import cli
 from bel.fields import QQ, RATIONAL_BACKEND
-from bel.graphs import Graph, net_graph, to_text
+from bel.graphs import Graph, clique_join, net_graph, to_text
 from bel.suite import CriterionResult
 
 
@@ -48,6 +48,42 @@ def test_classify_json(runner, graph_file):
     assert rep["results"]["weakly_closed"] is False
     assert "seconds" in rep and "kernel" in rep
     assert rep["rational"] == RATIONAL_BACKEND == type(QQ.one).__module__ == "fractions"
+
+
+CLASSIFY_KEYS = ("tree", "caterpillar", "generalized_caterpillar", "net_free", "closed",
+                 "closed_labeling", "weakly_closed", "weakly_closed_labeling",
+                 "comparability", "complement_comparability")
+
+
+def _labels(*sigma):
+    return {str(v): lab for v, lab in enumerate(sigma, start=1)}
+
+
+CLASSIFY_PINNED = {
+    "net": (net_graph(),
+            (False, False, True, False, False, None, False, None, False, False)),
+    "K8": (Graph.complete(8),
+           (False, False, True, True, True, _labels(*range(1, 9)), True,
+            _labels(*range(1, 9)), True, True)),
+    "C4": (Graph.cycle(4),
+           (False, False, False, True, False, None, True, _labels(1, 2, 3, 4), True, True)),
+    "spider_222": (Graph.from_edges(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)]),
+                   (True, False, False, True, False, None, False, None, True, False)),
+    "P4_two_K4": (clique_join(clique_join(Graph.path(4), (1, 2), 4), (3, 4), 4),
+                  (False, False, True, True, True, _labels(1, 4, 5, 6, 2, 3, 7, 8), True,
+                   _labels(1, 2, 5, 6, 3, 4, 7, 8), True, True)),
+    "K13": (Graph.star(3),
+            (True, True, True, True, False, None, True, _labels(1, 2, 3, 4), True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_PINNED))
+def test_classify_results_pinned(runner, graph_file, name):
+    """The full ``results`` of ``bel classify --json``, keys in order."""
+    G, values = CLASSIFY_PINNED[name]
+    res = runner.invoke(cli.main, ["classify", "--json", graph_file(G)])
+    assert res.exit_code == 0
+    assert list(json.loads(res.output)["results"].items()) == list(zip(CLASSIFY_KEYS, values))
 
 
 def test_gb_with_check(runner, graph_file):

@@ -22,13 +22,25 @@ def test_antichain_enforced():
         cx("ab", "abc")
 
 
-def test_delta_of_initial_ideal():
+def test_delta_of_initial_ideal(monkeypatch):
+    from bel.bei import binomial_edge_ideal, graph_ring
+    from bel.ideals import Ideal
+
+    def no_groebner(self):
+        raise AssertionError("delta_of reads the generators")
+
+    monkeypatch.setattr(Ideal, "groebner", no_groebner)
     c = delta_of(initial_ideal(Graph.path(3)))
     assert set(c.facets) == {frozenset({"x1", "y2"}), frozenset({"x2", "y3"})}
-    from bel.bei import binomial_edge_ideal
-
     with pytest.raises(ValueError):
         delta_of(binomial_edge_ideal(Graph.path(3)))  # not a monomial ideal
+    # non-minimal generators are dropped before the squarefree check
+    R = graph_ring(Graph.path(3))
+    x1, y2, x3 = R.x(1), R.y(2), R.x(3)
+    c = delta_of(Ideal(R, [x1 * y2 * x3, x1 * y2, x1 * x1 * y2, x1 * y2]))
+    assert c.facets == (frozenset({"x1", "y2"}),)
+    with pytest.raises(ValueError):
+        delta_of(Ideal(R, [x1 * x1 * y2, x3]))  # not squarefree
 
 
 def test_triangle_cycle_found():
@@ -63,12 +75,14 @@ def test_even_cycles_not_reported():
 
 
 def test_oracle_agreement_on_graph_complexes():
+    with_cycle = 0
     for G in [
         Graph.path(4),
         Graph.star(3),
         Graph.cycle(4),
         Graph.complete(3),
         net_graph(),
+        Graph.from_edges(4, [(1, 2), (1, 3), (2, 4)]),  # a P_4, 5 facets
     ]:
         c = delta_of(initial_ideal(G))
         if len(c.facets) > 8:
@@ -78,6 +92,8 @@ def test_oracle_agreement_on_graph_complexes():
         assert (got is not None) == bool(brute), sorted(map(sorted, c.facets))
         if got is not None:
             got.validate(c)
+            with_cycle += 1
+    assert with_cycle == 1  # the labelled P_4 above
 
 
 def test_net_has_special_odd_cycle():

@@ -1,9 +1,11 @@
+import random
+
 import networkx as nx
 import pytest
 
 from bel import corpus
 from bel.errors import SizeLimitError
-from bel.graphs import Graph, add_whisker, disjoint_union, net_graph
+from bel.graphs import Graph, add_whisker, clique_join, disjoint_union, net_graph, relabel
 from bel.recognizers import (
     Labeling,
     caterpillar_labeling,
@@ -20,9 +22,13 @@ from bel.recognizers import (
     is_tree,
     is_weakly_closed,
     is_weakly_closed_with_labeling,
-    simple_paths,
 )
-from conftest import connected_classes, oracle_is_comparability, oracle_is_net_free
+from conftest import (
+    connected_classes,
+    oracle_central_path,
+    oracle_is_comparability,
+    oracle_is_net_free,
+)
 
 
 def spider_222() -> Graph:
@@ -38,12 +44,6 @@ def test_labeling_basics():
         Labeling((1, 1, 2))
 
 
-def test_simple_paths():
-    paths = simple_paths(Graph.path(3))
-    assert paths[0] == (1, 2, 3)
-    assert (1,) in paths and (1, 2) in paths
-
-
 def test_tree_and_caterpillar():
     assert is_tree(Graph.path(5)) and is_caterpillar(Graph.path(5))
     assert is_caterpillar(Graph.star(4))
@@ -52,6 +52,17 @@ def test_tree_and_caterpillar():
     assert is_tree(spider_222()) and not is_caterpillar(spider_222())
     with pytest.raises(ValueError):
         central_path(spider_222())
+
+
+def test_central_path_against_oracle():
+    """Every labelled caterpillar with n <= 6."""
+    count = 0
+    for n in range(1, 7):
+        for G in corpus.all_graphs(n):
+            if len(G.edges) == n - 1 and is_caterpillar(G):
+                assert central_path(G) == oracle_central_path(G), sorted(G.edges)
+                count += 1
+    assert count == 1442
 
 
 def test_caterpillar_labeling_frozen():
@@ -135,6 +146,13 @@ def test_net_free_against_isomorphism_oracle():
         assert is_net_free(G) == oracle_is_net_free(G), sorted(G.edges)
 
 
+def _relabellings(G, count, rng):
+    for _ in range(count):
+        perm = list(G.vertices)
+        rng.shuffle(perm)
+        yield relabel(G, {v: perm[v - 1] for v in G.vertices})
+
+
 def test_gencat_examples():
     # the net itself is a generalized caterpillar (but not net-free)
     w = is_generalized_caterpillar(net_graph())
@@ -142,19 +160,30 @@ def test_gencat_examples():
     assert is_generalized_caterpillar(Graph.cycle(4)) is None
     assert is_generalized_caterpillar(spider_222()) is None
     assert is_generalized_caterpillar(Graph.complete(4)) is not None
+    w = is_generalized_caterpillar(Graph.complete(9))
+    assert (w.path, w.joins, w.whiskers) == ((1, 2), (((1, 2), 9, tuple(range(3, 10))),), ())
+    # P_4 with a K_4 joined on each end edge; the bridge between them is a path edge
+    G = clique_join(clique_join(Graph.path(4), (1, 2), 4), (3, 4), 4)
+    w = is_generalized_caterpillar(G)
+    assert (w.path, w.joins, w.whiskers) == (
+        (1, 2, 3, 4), (((1, 2), 4, (5, 6)), ((3, 4), 4, (7, 8))), ())
+    assert w.replay() == G
 
 
 def test_gencat_against_forward_generation():
     """The recognizer must agree exactly with brute-force forward
     generation from the construction rules, on every connected
-    isomorphism class with n <= 6."""
+    isomorphism class with n <= 6, as listed and under two seeded
+    relabellings."""
+    rng = random.Random(18)
     forms = corpus.generate_gencat_forms(6)
     for G in connected_classes(6):
-        got = is_generalized_caterpillar(G)
         expect = corpus.canonical_form(G) in forms
-        assert (got is not None) == expect, sorted(G.edges)
-        if got is not None:
-            assert got.replay() == G
+        for H in [G, *_relabellings(G, 2, rng)]:
+            got = is_generalized_caterpillar(H)
+            assert (got is not None) == expect, sorted(H.edges)
+            if got is not None:
+                assert got.replay() == H
 
 
 def test_gencat_labeling():
@@ -165,3 +194,15 @@ def test_gencat_labeling():
         gencat_labeling(net_graph())
     with pytest.raises(ValueError):
         gencat_labeling(Graph.cycle(4))
+
+
+def test_gencat_labeling_on_every_net_free_class():
+    """Every net-free generalized caterpillar class with n <= 6, as
+    listed and under two seeded relabellings."""
+    rng = random.Random(7)
+    graphs = [G for G in connected_classes(6)
+              if is_generalized_caterpillar(G) is not None and is_net_free(G)]
+    assert len(graphs) > len(corpus.gencat_corpus())
+    for G in graphs:
+        for H in [G, *_relabellings(G, 2, rng)]:
+            assert is_weakly_closed_with_labeling(H, gencat_labeling(H)), sorted(H.edges)
