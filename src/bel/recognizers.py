@@ -1,12 +1,13 @@
 """Graph-class recognizers and labeling constructions.
 
 Covers caterpillar trees, closed and weakly closed graphs (per-labeling
-checks plus exhaustive existential searches, which supply a labeling),
-comparability via transitive orientations, net-free graphs, and
-generalized caterpillars with explicit construction witnesses.  Weak
-closedness itself is decided by co-comparability at every n.  The
-caterpillar spine and the generalized-caterpillar witness are read off
-the block structure, without enumerating paths.
+checks plus labeling searches, run only where no theorem rules a
+labeling out), comparability by Golumbic's TRO theorem (*Algorithmic
+Graph Theory and Perfect Graphs*, 1980, ch. 5: no implication class
+holds an arc and its reverse), net-free graphs, and generalized
+caterpillars with explicit construction witnesses.  Weak closedness is
+decided by co-comparability at every n.  The caterpillar spine and the
+generalized-caterpillar witness are read off the block structure.
 """
 
 from __future__ import annotations
@@ -186,10 +187,18 @@ def _weakly_closed_triple(adj, a, b, c):
 
 
 def find_closed_labeling(G: Graph):
+    """A closed labeling of G, or None.  A claw rules one out: of three
+    pairwise non-adjacent neighbours of v, two lie on the same side of v,
+    and their edges at v share the smaller end (i = k) or the larger
+    (j = l), which forces an edge between them."""
     if G.n > LABELING_SEARCH_CAP:
         raise SizeLimitError(
             f"exhaustive closed-labeling search capped at n={LABELING_SEARCH_CAP}"
         )
+    adj = G.adj
+    if any(not (b in adj[a] or c in adj[a] or c in adj[b])
+           for v in G.vertices for a, b, c in combinations(adj[v], 3)):
+        return None
     return _search_labeling(G, _closed_triple)
 
 
@@ -198,10 +207,13 @@ def is_closed(G: Graph) -> bool:
 
 
 def find_weakly_closed_labeling(G: Graph):
+    """A weakly closed labeling of G, searched for only if is_weakly_closed(G)."""
     if G.n > LABELING_SEARCH_CAP:
         raise SizeLimitError(
             f"exhaustive weakly-closed-labeling search capped at n={LABELING_SEARCH_CAP}"
         )
+    if not is_weakly_closed(G):
+        return None
     return _search_labeling(G, _weakly_closed_triple)
 
 
@@ -222,49 +234,31 @@ def is_weakly_closed(G: Graph) -> bool:
 # ----------------------------------------------------------- comparability
 
 def is_comparability(G: Graph) -> bool:
-    """True iff G admits a transitive orientation (backtracking over edge
-    directions with transitivity propagation)."""
-    E = sorted(G.edges)
+    """True iff G admits a transitive orientation.
+
+    Golumbic's TRO theorem (*Algorithmic Graph Theory and Perfect Graphs*,
+    1980, ch. 5).  Whenever b and c are non-adjacent neighbours of a, a
+    transitive orientation holds (a, b) iff it holds (a, c), and (b, a)
+    iff (c, a), since otherwise b, a, c would be a directed path with no
+    arc between its ends.  The classes of arcs so linked are the
+    implication classes, and G is a comparability graph iff no class
+    holds both an arc and its reverse.
+    """
     adj = G.adj
+    parent = {(a, b): (a, b) for a in G.vertices for b in adj[a]}
 
-    def propagate(orient, u, v):
-        """Force u->v plus all consequences; returns False on conflict.
-        orient maps sorted edge -> (tail, head)."""
-        stack = [(u, v)]
-        while stack:
-            a, b = stack.pop()
-            e = edge(a, b)
-            cur = orient.get(e)
-            if cur is not None:
-                if cur != (a, b):
-                    return False
-                continue
-            orient[e] = (a, b)
-            # a->b, b->c  forces  a->c
-            for c in adj[b]:
-                if c != a and orient.get(edge(b, c)) == (b, c):
-                    if c not in adj[a]:
-                        return False
-                    stack.append((a, c))
-            # c->a, a->b  forces  c->b
-            for c in adj[a]:
-                if c != b and orient.get(edge(c, a)) == (c, a):
-                    if c not in adj[b]:
-                        return False
-                    stack.append((c, b))
-        return True
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def solve(orient):
-        target = next((e for e in E if e not in orient), None)
-        if target is None:
-            return True
-        for direction in (target, (target[1], target[0])):
-            trial = dict(orient)
-            if propagate(trial, *direction) and solve(trial):
-                return True
-        return False
-
-    return solve({})
+    for a in G.vertices:
+        for b, c in combinations(adj[a], 2):
+            if c not in adj[b]:
+                parent[find((a, b))] = find((a, c))
+                parent[find((b, a))] = find((c, a))
+    return all(find((a, b)) != find((b, a)) for a, b in G.edges)
 
 
 # --------------------------------------------------------------- net-free

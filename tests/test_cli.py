@@ -74,6 +74,13 @@ CLASSIFY_PINNED = {
                    _labels(1, 2, 5, 6, 3, 4, 7, 8), True, True)),
     "K13": (Graph.star(3),
             (True, True, True, True, False, None, True, _labels(1, 2, 3, 4), True, True)),
+    # not co-comparability, so no weakly closed labeling is searched for
+    "C5": (Graph.cycle(5),
+           (False, False, False, True, False, None, False, None, False, False)),
+    # the 3-sun: claw-free, so the closed search runs and fails
+    "sun_3": (Graph.from_edges(6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5),
+                                   (1, 6), (3, 6)]),
+              (False, False, False, True, False, None, False, None, False, False)),
 }
 
 

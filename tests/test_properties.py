@@ -11,7 +11,8 @@ from bel.graphs import Graph, complement, connected_components, disjoint_union
 from bel.ideals import Ideal
 from bel.recognizers import (
     Labeling,
-    find_weakly_closed_labeling,
+    _search_labeling,
+    _weakly_closed_triple,
     is_comparability,
     is_net_free,
     is_weakly_closed,
@@ -45,10 +46,11 @@ def test_recognizers_are_isomorphism_invariant(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_weak_closedness_equals_co_comparability(data):
-    """The labeling search, not is_weakly_closed, which decides by
-    co-comparability itself."""
+    """The unguarded labeling search, not is_weakly_closed or
+    find_weakly_closed_labeling, which decide by co-comparability."""
     G = data.draw(graphs())
-    assert (find_weakly_closed_labeling(G) is not None) == is_comparability(complement(G))
+    found = _search_labeling(G, _weakly_closed_triple) is not None
+    assert found == is_comparability(complement(G))
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,20 @@ import pytest
 
 from bel import corpus
 from bel.errors import SizeLimitError
-from bel.graphs import Graph, add_whisker, clique_join, disjoint_union, net_graph, relabel
+from bel.graphs import (
+    Graph,
+    add_whisker,
+    clique_join,
+    complement,
+    disjoint_union,
+    net_graph,
+    relabel,
+)
 from bel.recognizers import (
     Labeling,
+    _closed_triple,
+    _search_labeling,
+    _weakly_closed_triple,
     caterpillar_labeling,
     central_path,
     find_closed_labeling,
@@ -115,9 +126,23 @@ def test_labeling_search_cap():
     assert is_weakly_closed(big)
 
 
+def test_guarded_searches_match_raw_search():
+    """A claw, or a complement with no transitive orientation, returns
+    None before any search; on every class with n <= 6, as listed and
+    under two seeded relabellings, the result is still the raw search's."""
+    rng = random.Random(20)
+    for G in corpus.graphs_upto(6):
+        for H in [G, *_relabellings(G, 2, rng)]:
+            assert find_closed_labeling(H) == _search_labeling(H, _closed_triple), sorted(H.edges)
+            assert (find_weakly_closed_labeling(H)
+                    == _search_labeling(H, _weakly_closed_triple)), sorted(H.edges)
+
+
 def test_comparability_against_oracle():
+    """Every class with n <= 5 and its complement."""
     for G in corpus.graphs_upto(5):
-        assert is_comparability(G) == oracle_is_comparability(G), sorted(G.edges)
+        for H in (G, complement(G)):
+            assert is_comparability(H) == oracle_is_comparability(H), sorted(H.edges)
     assert not is_comparability(Graph.cycle(5))
     assert is_comparability(Graph.cycle(6))
 
