@@ -11,24 +11,66 @@ corpus covers the generalized caterpillars.
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations
 
 from .graphs import Graph, add_whisker, clique_join, is_connected, net_graph
 from .recognizers import is_caterpillar
 
 
 def canonical_form(G: Graph) -> tuple:
-    """Minimum edge-set encoding over all vertex permutations; equal iff
-    isomorphic.  Pair {a, b} is bit number i when it is the i-th pair of
-    combinations(1..n, 2).  Exponential in n; fine at desk scale."""
+    """The least edge bitmask over all vertex labellings, as ``(n, bits)``;
+    equal iff isomorphic.  Pair {a, b} with a < b is bit number i when it
+    is the i-th pair of combinations(1..n, 2).
+
+    Labels are placed n, n-1, ..., 1, one per level.  Placing label k
+    fixes segment k, the bits of the pairs {k, j} with j > k, which is
+    the new vertex's adjacency to labels n, ..., k+1 read from the most
+    significant bit.  Every pair in segment k is more significant than
+    every pair whose smaller label is below k, so the key compares as the
+    sequence of segments n, n-1, ..., 1, and minimising it minimises
+    each segment in turn.  So a partial labelling whose segments so far
+    are not the least among all partial labellings of its level cannot
+    be a prefix of the least key: each level keeps only the extensions
+    whose new segment is the least, so the survivors share all their
+    segments so far, and the optimum survives every level.
+
+    Two surviving partial labellings of a level with the same future --
+    the same unplaced vertex set, each unplaced vertex with the same
+    adjacency to the placed labels -- have the same segments so far
+    (both least) and the same completions: the segment of a later label
+    depends only on its vertex's adjacency to the placed labels and to
+    the other unplaced vertices.  So one of them is kept.  A state is
+    that future: ``codes[v]`` is -1 once v is placed, and otherwise has
+    bit j-1 set for each placed label j adjacent to v, so its segment at
+    level k is ``codes[v] >> k`` and segments compare as codes do.  For
+    K_n and the empty graph the future is the unplaced set alone, so
+    there are C(n, j) states once j labels are placed, 2^n in all.
+    """
     n = G.n
-    bit = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, (a, b) in enumerate(combinations(range(1, n + 1), 2)):
-        bit[a][b] = bit[b][a] = 1 << i
-    edges = [(u - 1, v - 1) for u, v in G.edges]
-    best = min(sum(bit[p[u]][p[v]] for u, v in edges)
-               for p in permutations(range(1, n + 1)))
-    return (n, best)
+    nbrs = [[] for _ in range(n)]
+    for u, v in G.edges:
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
+    states = {(0,) * n}
+    bits = 0
+    offset = n * (n - 1) // 2
+    for k in range(n, 0, -1):
+        offset -= n - k  # the bit number of pair {k, k+1}
+        least = min(c for codes in states for c in codes if c >= 0)
+        flag = 1 << (k - 1)
+        nxt = set()
+        for codes in states:
+            for v, c in enumerate(codes):
+                if c == least:
+                    new = list(codes)
+                    new[v] = -1
+                    for u in nbrs[v]:
+                        if new[u] >= 0:
+                            new[u] |= flag
+                    nxt.add(tuple(new))
+        states = nxt
+        bits |= (least >> k) << offset
+    return (n, bits)
 
 
 def all_graphs(n: int):
@@ -137,39 +179,6 @@ def gencat_corpus() -> list:
     ]
     assert all(G.n <= 6 for G in out)
     return out
-
-
-def generate_gencat_forms(max_n: int) -> set:
-    """Canonical forms of every generalized caterpillar with n <= max_n,
-    built forward from the definition: a path, a clique glued along each
-    chosen path edge, then whiskers on any path or clique vertices."""
-    forms = set()
-
-    def with_whiskers(G):
-        budget = max_n - G.n
-        attach_sets = []
-        for w in range(budget + 1):
-            attach_sets.extend(combinations_with_replacement(sorted(G.vertices), w))
-        for attaches in attach_sets:
-            H = G
-            for v in attaches:
-                H = add_whisker(H, v)
-            forms.add(canonical_form(H))
-
-    def grow(G, path_edges, k):
-        if k == len(path_edges):
-            with_whiskers(G)
-            return
-        e = path_edges[k]
-        t = 2
-        while G.n + (t - 2) <= max_n:
-            grow(clique_join(G, e, t) if t > 2 else G, path_edges, k + 1)
-            t += 1
-
-    for p in range(1, max_n + 1):
-        grow(Graph.path(p) if p > 1 else Graph.empty(1),
-             [(i, i + 1) for i in range(1, p)], 0)
-    return forms
 
 
 def net_family() -> list:

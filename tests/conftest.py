@@ -6,12 +6,12 @@ from __future__ import annotations
 import random
 import struct
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from bel import corpus
-from bel.graphs import Graph, edge, is_connected
+from bel.graphs import Graph, add_whisker, clique_join, edge, is_connected, relabel
 
 
 def connected_classes(max_n: int) -> list:
@@ -22,6 +22,12 @@ def connected_classes(max_n: int) -> list:
 @pytest.fixture(scope="session")
 def small_transversal():
     return connected_classes(5)
+
+
+@pytest.fixture(scope="session")
+def classes_upto_7():
+    """``corpus.graphs_upto(7)``, built once per session."""
+    return corpus.graphs_upto(7)
 
 
 def oracle_components(G: Graph) -> list:
@@ -56,6 +62,49 @@ def oracle_canonical_form(G: Graph) -> tuple:
         if best is None or bits < best:
             best = bits
     return (G.n, best)
+
+
+def generate_gencat_forms(max_n: int) -> set:
+    """Canonical forms of every generalized caterpillar with n <= max_n,
+    built forward from the definition: a path, a clique glued along each
+    chosen path edge, then whiskers on any path or clique vertices."""
+    forms = set()
+
+    def with_whiskers(G):
+        budget = max_n - G.n
+        attach_sets = []
+        for w in range(budget + 1):
+            attach_sets.extend(combinations_with_replacement(sorted(G.vertices), w))
+        for attaches in attach_sets:
+            H = G
+            for v in attaches:
+                H = add_whisker(H, v)
+            forms.add(corpus.canonical_form(H))
+
+    def grow(G, path_edges, k):
+        if k == len(path_edges):
+            with_whiskers(G)
+            return
+        e = path_edges[k]
+        t = 2
+        while G.n + (t - 2) <= max_n:
+            grow(clique_join(G, e, t) if t > 2 else G, path_edges, k + 1)
+            t += 1
+
+    for p in range(1, max_n + 1):
+        grow(Graph.path(p) if p > 1 else Graph.empty(1),
+             [(i, i + 1) for i in range(1, p)], 0)
+    return forms
+
+
+def seeded_relabellings(G: Graph, count: int, rng) -> list:
+    """count copies of G, each relabelled by a permutation drawn from rng."""
+    out = []
+    for _ in range(count):
+        perm = list(G.vertices)
+        rng.shuffle(perm)
+        out.append(relabel(G, {v: perm[v - 1] for v in G.vertices}))
+    return out
 
 
 def seeded_graphs(sizes, count: int, seed: int) -> list:

@@ -9,7 +9,8 @@ from bel.complexes import (
     find_special_odd_cycle,
 )
 from bel.graphs import Graph, net_graph
-from conftest import oracle_special_odd_cycles
+from bel.recognizers import gencat_labeling, is_generalized_caterpillar, is_net_free
+from conftest import oracle_is_net_free, oracle_special_odd_cycles
 
 
 def cx(*facets):
@@ -109,6 +110,24 @@ def test_caterpillar_complexes_have_none():
     for G in corpus.caterpillars_upto(5):
         H = caterpillar_labeling(G).apply(G)
         assert equality_criterion_via_cycles(H)
+
+
+def test_generalized_caterpillars_upto_7(classes_upto_7):
+    """Verified for n <= 7, over every isomorphism class: each net-free
+    generalized caterpillar, relabelled by ``gencat_labeling``, has an
+    initial complex with no special odd cycle, which certifies
+    J_G^t = J_G^(t) for every t (``equality_criterion_via_cycles``).
+    The others are exactly the ones with an induced net, by the
+    networkx isomorphism oracle."""
+    gencats = [G for G in classes_upto_7 if is_generalized_caterpillar(G) is not None]
+    net_free = [G for G in gencats if is_net_free(G)]
+    assert len(net_free) == 89 and sum(G.n >= 2 for G in net_free) == 88
+    assert len(gencats) - len(net_free) == 5
+    for G in gencats:
+        assert oracle_is_net_free(G) == (G in net_free), sorted(G.edges)
+    for G in net_free:
+        H = gencat_labeling(G).apply(G)
+        assert find_special_odd_cycle(delta_of(initial_ideal(H))) is None, sorted(H.edges)
 
 
 def test_validate_rejects_bad_cycles():

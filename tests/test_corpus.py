@@ -1,11 +1,18 @@
-from itertools import chain
+import random
+from itertools import chain, combinations
+from math import comb
 
 import networkx as nx
 
 from bel import corpus
-from bel.graphs import Graph, relabel
+from bel.graphs import Graph, disjoint_union, is_connected, relabel
 from bel.recognizers import is_caterpillar, is_net_free
-from conftest import connected_classes, oracle_canonical_form, seeded_graphs
+from conftest import (
+    connected_classes,
+    oracle_canonical_form,
+    seeded_graphs,
+    seeded_relabellings,
+)
 
 
 def test_canonical_form_isomorphism_invariant():
@@ -15,11 +22,48 @@ def test_canonical_form_isomorphism_invariant():
     assert corpus.canonical_form(G) != corpus.canonical_form(Graph.star(3))
 
 
+def _tied_graphs(n):
+    """Graphs whose vertices tie at many levels of the search: K_n, the
+    empty graph and C_n."""
+    return [Graph.complete(n), Graph.empty(n), Graph.cycle(n)]
+
+
 def test_canonical_form_matches_definition():
-    """Every labelled graph with n <= 5 and seeded graphs with n = 6-8."""
+    """Every labelled graph with n <= 5, seeded graphs with n = 6-8, and
+    n = 8 graphs with large automorphism groups (K_8, the empty graph,
+    C_8, the cube Q_3, K_{4,4} and 2K_4), each as given and under two
+    seeded relabellings."""
     graphs = chain.from_iterable(corpus.all_graphs(n) for n in range(1, 6))
     for G in chain(graphs, seeded_graphs((6, 7), 12, seed=21), seeded_graphs((8,), 3, seed=22)):
         assert corpus.canonical_form(G) == oracle_canonical_form(G), sorted(G.edges)
+    rng = random.Random(23)
+    cube = Graph.from_edges(8, [(a + 1, b + 1) for a, b in combinations(range(8), 2)
+                                if (a ^ b).bit_count() == 1])
+    k44 = Graph.from_edges(8, [(a, b) for a in range(1, 5) for b in range(5, 9)])
+    for G in [*_tied_graphs(8), cube, k44, disjoint_union(Graph.complete(4), Graph.complete(4))]:
+        expect = oracle_canonical_form(G)
+        for H in [G, *seeded_relabellings(G, 2, rng)]:
+            assert corpus.canonical_form(H) == expect, sorted(H.edges)
+
+
+def test_canonical_form_beyond_the_oracle():
+    """n = 9-12, past the n! oracle: the key is invariant under seeded
+    relabellings and decodes to a graph networkx finds isomorphic, and
+    K_n and the empty graph give the all-ones and all-zeros keys."""
+    rng = random.Random(24)
+    petersen = Graph.from_edges(10, [(a + 1, b + 1) for a, b in nx.petersen_graph().edges])
+    graphs = [petersen, *seeded_graphs((9, 10, 11, 12), 12, seed=25)]
+    for n in range(9, 13):
+        graphs.extend(_tied_graphs(n))
+        assert corpus.canonical_form(Graph.complete(n)) == (n, 2 ** comb(n, 2) - 1)
+        assert corpus.canonical_form(Graph.empty(n)) == (n, 0)
+    for G in graphs:
+        n, bits = key = corpus.canonical_form(G)
+        for H in seeded_relabellings(G, 2, rng):
+            assert corpus.canonical_form(H) == key, sorted(H.edges)
+        decoded = Graph.from_edges(n, (p for i, p in enumerate(combinations(range(1, n + 1), 2))
+                                       if bits >> i & 1))
+        assert nx.is_isomorphic(decoded.to_networkx(), G.to_networkx()), sorted(G.edges)
 
 
 def test_graphs_upto_is_the_atlas():
@@ -33,6 +77,14 @@ def test_graphs_upto_is_the_atlas():
              for g in nx.graph_atlas_g()[1:] if g.number_of_nodes() <= 6]
     assert len(atlas) == len(set(forms)) == len(forms) == 208
     assert set(forms) == {corpus.canonical_form(G) for G in atlas}
+
+
+def test_graphs_upto_7_counts(classes_upto_7):
+    """Classes by n on 1..7 vertices (OEIS A000088), and the connected
+    ones at n = 7 (A001349)."""
+    assert [sum(1 for G in classes_upto_7 if G.n == n) for n in range(1, 8)] == [
+        1, 2, 4, 11, 34, 156, 1044]
+    assert sum(1 for G in classes_upto_7 if G.n == 7 and is_connected(G)) == 853
 
 
 def test_enumeration_counts():

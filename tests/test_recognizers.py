@@ -12,7 +12,6 @@ from bel.graphs import (
     complement,
     disjoint_union,
     net_graph,
-    relabel,
 )
 from bel.recognizers import (
     Labeling,
@@ -36,9 +35,11 @@ from bel.recognizers import (
 )
 from conftest import (
     connected_classes,
+    generate_gencat_forms,
     oracle_central_path,
     oracle_is_comparability,
     oracle_is_net_free,
+    seeded_relabellings,
 )
 
 
@@ -132,7 +133,7 @@ def test_guarded_searches_match_raw_search():
     under two seeded relabellings, the result is still the raw search's."""
     rng = random.Random(20)
     for G in corpus.graphs_upto(6):
-        for H in [G, *_relabellings(G, 2, rng)]:
+        for H in [G, *seeded_relabellings(G, 2, rng)]:
             assert find_closed_labeling(H) == _search_labeling(H, _closed_triple), sorted(H.edges)
             assert (find_weakly_closed_labeling(H)
                     == _search_labeling(H, _weakly_closed_triple)), sorted(H.edges)
@@ -171,13 +172,6 @@ def test_net_free_against_isomorphism_oracle():
         assert is_net_free(G) == oracle_is_net_free(G), sorted(G.edges)
 
 
-def _relabellings(G, count, rng):
-    for _ in range(count):
-        perm = list(G.vertices)
-        rng.shuffle(perm)
-        yield relabel(G, {v: perm[v - 1] for v in G.vertices})
-
-
 def test_gencat_examples():
     # the net itself is a generalized caterpillar (but not net-free)
     w = is_generalized_caterpillar(net_graph())
@@ -201,10 +195,10 @@ def test_gencat_against_forward_generation():
     isomorphism class with n <= 6, as listed and under two seeded
     relabellings."""
     rng = random.Random(18)
-    forms = corpus.generate_gencat_forms(6)
+    forms = generate_gencat_forms(6)
     for G in connected_classes(6):
         expect = corpus.canonical_form(G) in forms
-        for H in [G, *_relabellings(G, 2, rng)]:
+        for H in [G, *seeded_relabellings(G, 2, rng)]:
             got = is_generalized_caterpillar(H)
             assert (got is not None) == expect, sorted(H.edges)
             if got is not None:
@@ -229,5 +223,5 @@ def test_gencat_labeling_on_every_net_free_class():
               if is_generalized_caterpillar(G) is not None and is_net_free(G)]
     assert len(graphs) > len(corpus.gencat_corpus())
     for G in graphs:
-        for H in [G, *_relabellings(G, 2, rng)]:
+        for H in [G, *seeded_relabellings(G, 2, rng)]:
             assert is_weakly_closed_with_labeling(H, gencat_labeling(H)), sorted(H.edges)
