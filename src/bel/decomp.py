@@ -1,6 +1,14 @@
 """Prime components P_U, minimal primes, symbolic powers, and the
 ordinary-versus-symbolic equality verdict with witnesses.
 
+Minimal primes by containment walk the 2^n subsets U by size.  P_T lies
+inside P_U exactly when T lies inside U and each component of G minus T,
+less U, lies inside one component of G minus U, so a non-minimal P_U is
+discarded from the components of G minus U alone.  Each P_U that is kept
+is confirmed by Groebner non-membership, which is the only place the
+kernel runs: once for each kept prime after the first, not once per
+subset.
+
 Symbolic powers are evaluated through the minimal-prime intersection
 formula: the binomial edge ideal is the intersection of the primes P_U,
 each P_U is a maximal-minor prime whose symbolic and ordinary powers
@@ -85,22 +93,52 @@ def _subsets(vertices):
     return chain.from_iterable(combinations(vs, r) for r in range(len(vs) + 1))
 
 
-def _inclusion_minimal(comps) -> list:
-    """The components whose ideal has no other one strictly inside it, in
-    input order; the input must ascend in |U|.
+def _lies_inside(pt: PrimeComponent, U: frozenset, where: dict) -> bool:
+    """Whether P_T (``pt``) lies inside P_U, read off the definition of the
+    two primes; ``where`` maps each vertex outside U to the index of its
+    component of G minus U.
 
-    A component is kept unless the ideal of an earlier survivor lies
-    inside it, decided by Groebner membership, and that one pass suffices.
+    The test is T inside U and every component of G minus T, less U,
+    inside one component of G minus U.  That suffices: then x_t and y_t
+    for t in T are generators of P_U, and an edge binomial f_ab of a
+    component of G minus T is a generator of P_U when a and b both lie
+    outside U, and lies in (x_u, y_u) when one of them is a vertex u of U.
+    It is also necessary, which is why the Groebner step of
+    ``_inclusion_minimal`` never discards: the degree-1 part of P_U is
+    spanned by the variables of U, so x_t is outside P_U for t outside U;
+    and if a component of G minus T meets two components A and B of G
+    minus U at a and b, the point with x = 1, y = 0 on A, x = 0, y = 1 on
+    B and 0 elsewhere kills every generator of P_U but gives f_ab = 1.
+    """
+    return pt.U <= U and all(len({where[v] for v in comp - U}) <= 1 for comp in pt.components)
+
+
+def _inclusion_minimal(G: Graph, subsets, field=QQ) -> list:
+    """The inclusion-minimal P_U over the subsets U, in input order; the
+    input must ascend in |U|.
+
     P_U is homogeneous and its degree-1 part is spanned by the variables
     of U, so P_T inside P_U forces T inside U, and strict containment
-    forces |T| < |U|: a component can only lie strictly inside a later
-    one.  The same lemma makes every containment found here strict: a
-    survivor P_T met before P_U has |T| <= |U| and T != U, so P_U inside
-    P_T would force U inside T, which is impossible.
+    forces |T| < |U|: a P_U can only lie strictly inside a later one, so
+    comparing each P_U with the survivors so far suffices.  Every
+    non-minimal P_U lies strictly above a minimal one, met earlier and
+    kept.  A U is discarded as soon as the components of G minus U show
+    a survivor inside P_U (``_lies_inside``), with no Groebner call.  Only
+    the rest get ``prime_component``, and one is kept unless Groebner
+    membership finds a survivor P_T with T inside U inside it.  So every
+    discard rests on an explicit membership and every keep on a Groebner
+    non-membership.  Since ``_lies_inside`` is exact, that membership
+    never holds, and as the empty set lies inside every U, Buchberger runs
+    once for each kept prime after P_emptyset.
     """
     kept = []
-    for pc in comps:
-        if not any(pc.ideal.contains_ideal(q.ideal) for q in kept):
+    for U in map(frozenset, subsets):
+        comps = components_within(G, set(G.vertices) - U)
+        where = {v: i for i, comp in enumerate(comps) for v in comp}
+        if any(_lies_inside(q, U, where) for q in kept):
+            continue
+        pc = prime_component(G, U, field)
+        if not any(q.U <= U and pc.ideal.contains_ideal(q.ideal) for q in kept):
             kept.append(pc)
     return kept
 
@@ -111,16 +149,18 @@ def _check_cap(G: Graph, cap: int):
 
 
 def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: str = "containment") -> list:
-    """All P_U, filtered to the inclusion-minimal ideals.
+    """All P_U, filtered to the inclusion-minimal ideals, by |U| and then
+    lexicographically.
 
-    method "containment" (the authority) decides containment by Groebner
-    membership and compares each P_U only with the survivors so far:
-    strict containment is a strict order on a finite set, so every
-    non-minimal P_U lies strictly above some minimal one, and comparing
-    with the minimal candidates suffices.  "cutpoint" uses the
-    combinatorial criterion that every vertex of U must disconnect the
-    induced graph on the rest plus that vertex.
+    method "containment" (the authority) walks the subsets U by size and
+    keeps P_U unless an earlier survivor lies inside it, shown by the
+    components of G minus U or by Groebner membership
+    (``_inclusion_minimal``).  "cutpoint" uses the combinatorial criterion
+    that every vertex of U must disconnect the induced graph on the rest
+    plus that vertex.  The method is checked before the size cap.
     """
+    if method not in ("containment", "cutpoint"):
+        raise ValueError(f"unknown method {method!r}")
     _check_cap(G, cap)
     if method == "cutpoint":
         out = []
@@ -131,9 +171,7 @@ def minimal_primes(G: Graph, field=QQ, cap: int = MINIMAL_PRIMES_CAP, method: st
             if all(len(components_within(G, rest | {i})) < c for i in Uset):
                 out.append(prime_component(G, U, field))
         return out
-    if method != "containment":
-        raise ValueError(f"unknown method {method!r}")
-    return _inclusion_minimal([prime_component(G, U, field) for U in _subsets(G.vertices)])
+    return _inclusion_minimal(G, _subsets(G.vertices), field)
 
 
 def symbolic_power(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> Ideal:

@@ -7,6 +7,7 @@ from bel import corpus, decomp, kernel
 from bel.bei import binomial_edge_ideal
 from bel.decomp import (
     _inclusion_minimal,
+    _lies_inside,
     _subsets,
     equality_verdict,
     groebner_verdict,
@@ -44,13 +45,18 @@ def test_minimal_primes_frozen():
     ]
 
 
-def test_methods_agree(small_transversal):
-    for G in small_transversal:
+def test_methods_agree(classes_upto_7):
+    """Containment and cutpoint give the same primes on every class with
+    n <= 7, disconnected ones included; an unknown method is refused
+    before the size cap."""
+    for G in classes_upto_7:
         a = U_sets(minimal_primes(G, method="containment"))
         b = U_sets(minimal_primes(G, method="cutpoint"))
         assert a == b, sorted(G.edges)
     with pytest.raises(ValueError):
         minimal_primes(Graph.path(3), method="nope")
+    with pytest.raises(ValueError):
+        minimal_primes(Graph.path(9), method="bogus")
 
 
 def _disconnected(n, seed):
@@ -62,23 +68,53 @@ def _disconnected(n, seed):
             return G
 
 
-def test_minimal_primes_match_oracle():
-    """The survivor filter returns the all-pairs filter's list, in its
-    order, and the same set when fed the components in another order that
-    ascends in |U| (each size class reversed)."""
-    graphs = [
+def _labelled_upto_4():
+    return [
         Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
         for n in range(1, 5)
         for pairs in [list(combinations(range(1, n + 1), 2))]
         for mask in range(1 << len(pairs))
     ]
+
+
+def test_minimal_primes_match_oracle():
+    """The survivor filter returns the all-pairs filter's list, in its
+    order, and the same set when fed the subsets in another order that
+    ascends in |U| (each size class reversed)."""
+    graphs = _labelled_upto_4()
     graphs += [net_graph()] + [_disconnected(n, seed) for n, seed in [(5, 1), (5, 2), (6, 3), (6, 4)]]
     for G in graphs:
         want = [(pc.U, pc.components) for pc in oracle_minimal_primes(G)]
         assert [(pc.U, pc.components) for pc in minimal_primes(G)] == want, sorted(G.edges)
-        comps = [prime_component(G, U) for U in _subsets(G.vertices)]
-        by_size = sorted(reversed(comps), key=lambda pc: len(pc.U))
-        assert {pc.U for pc in _inclusion_minimal(by_size)} == {U for U, _ in want}, sorted(G.edges)
+        by_size = sorted(reversed(list(_subsets(G.vertices))), key=len)
+        assert {pc.U for pc in _inclusion_minimal(G, by_size)} == {U for U, _ in want}, sorted(G.edges)
+
+
+def test_containment_by_definition_is_groebner_membership():
+    """For every labelled graph with n <= 4 and the net, and every pair
+    (T, U), P_T lies inside P_U by the components of G minus T and G
+    minus U exactly when Groebner membership says so."""
+    for G in _labelled_upto_4() + [net_graph()]:
+        primes = [prime_component(G, U) for U in _subsets(G.vertices)]
+        for pu in primes:
+            where = {v: i for i, comp in enumerate(pu.components) for v in comp}
+            for pt in primes:
+                want = pu.ideal.contains_ideal(pt.ideal)
+                assert _lies_inside(pt, pu.U, where) == want, (sorted(G.edges), sorted(pt.U), sorted(pu.U))
+
+
+def test_containment_builds_only_kept_bases(monkeypatch):
+    """Containment minimal_primes runs kernel.buchberger once for each
+    minimal prime after P_emptyset: on the net and on C8 with chords 1-5,
+    2-6 and 3-7, which have 7 and 15."""
+    c8 = Graph(8, Graph.cycle(8).edges | {(1, 5), (2, 6), (3, 7)})
+    calls = []
+    real = kernel.buchberger
+    monkeypatch.setattr(kernel, "buchberger", lambda *args: calls.append(1) or real(*args))
+    for G, count in ((net_graph(), 7), (c8, 15)):
+        calls.clear()
+        assert len(minimal_primes(G)) == count
+        assert len(calls) == count - 1, sorted(G.edges)
 
 
 def test_minimal_primes_cap():

@@ -6,12 +6,13 @@ import hashlib
 import heapq
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from bel import corpus, kernel
+from bel import corpus, decomp, kernel
 from bel.bei import binomial_edge_ideal
-from bel.decomp import groebner_verdict, minimal_primes, symbolic_power
+from bel.decomp import groebner_verdict, minimal_primes, prime_component, symbolic_power
 from bel.errors import SizeLimitError
 from bel.fields import QQ, PrimeField
 from bel.graphs import Graph, net_graph
@@ -329,16 +330,17 @@ def test_skipped_final_sweep_keeps_the_reduced_basis():
 
 
 # sha256 of every kernel.buchberger output, its coefficients' type names
-# included, over the corpus of test_kernel_output_digest, as computed with
-# the kernel on Fraction coefficients throughout
-_KERNEL_DIGEST = ("1d2cafb95c57526d57ff8dd6c856d1c9a8094b4ab8045236cf91b6870846a703", 71)
+# included, and the number of calls, over the corpus of
+# test_kernel_output_digest
+_KERNEL_DIGEST = ("a261474c838fbcf0ce881e529cb03f2b3348c1020baa752741b8b8ef1173823f", 40)
+# the same over the reduced bases of test_prime_component_digest
+_PRIME_DIGEST = ("d361193b2456e188cdb98cb7cf23e5b1f7e3101f1dfad0e4300d6ea26c5cee33", 32)
+HOUSE = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
-def test_kernel_output_digest(monkeypatch):
-    """Every kernel.buchberger output met while computing J_G and J_G^2 of
-    each connected graph with n <= 4, over QQ and F_32003, and the house's
-    t=2 symbolic square, hashes to the pinned digest: the same polynomials,
-    the same coefficient values and the same coefficient types."""
+def _record_buchberger(monkeypatch):
+    """Hash every kernel.buchberger output from now on; the returned
+    function gives (hex digest, number of calls) so far."""
     digest, calls = hashlib.sha256(), []
     real = kernel.buchberger
 
@@ -350,6 +352,20 @@ def test_kernel_output_digest(monkeypatch):
         return out
 
     monkeypatch.setattr(kernel, "buchberger", record)
+    return lambda: (digest.hexdigest(), len(calls))
+
+
+def test_kernel_output_digest(monkeypatch):
+    """Every kernel.buchberger output met while computing J_G and J_G^2 of
+    each connected graph with n <= 4, over QQ and F_32003, and folding the
+    house's t=2 symbolic square, hashes to the pinned digest: the same
+    polynomials, the same coefficient values and the same coefficient
+    types.  The house's minimal primes are found before recording and
+    handed to the fold freshly built, so the digest does not depend on how
+    minimal_primes finds them."""
+    primes = [prime_component(HOUSE, pc.U) for pc in minimal_primes(HOUSE)]
+    monkeypatch.setattr(decomp, "minimal_primes", lambda *args, **kwargs: primes)
+    recorded = _record_buchberger(monkeypatch)
     # the first labelled graph of each class, as when the digest was
     # pinned: the bases depend on the labelling, and graphs_upto labels
     # half of these classes differently
@@ -359,9 +375,19 @@ def test_kernel_output_digest(monkeypatch):
             J = binomial_edge_ideal(G, field)
             J.groebner()
             J.power(2).groebner()
-    house = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    symbolic_power(house, 2).groebner()
-    assert (digest.hexdigest(), len(calls)) == _KERNEL_DIGEST
+    symbolic_power(HOUSE, 2).groebner()
+    assert recorded() == _KERNEL_DIGEST
+
+
+def test_prime_component_digest(monkeypatch):
+    """The reduced bases of a freshly built prime_component(house, U), for
+    every U by size and then lexicographically, hash to the pinned digest,
+    one kernel.buchberger call each."""
+    recorded = _record_buchberger(monkeypatch)
+    for r in range(HOUSE.n + 1):
+        for U in combinations(sorted(HOUSE.vertices), r):
+            prime_component(HOUSE, U).ideal.groebner()
+    assert recorded() == _PRIME_DIGEST
 
 
 def test_kernel_output_is_canonical(monkeypatch):
