@@ -11,7 +11,6 @@ from .bei import (
     graph_ring,
     groebner_combinatorial,
     initial_ideal,
-    min_gb_degree,
 )
 from .complexes import (
     SimplicialComplex,
@@ -97,7 +96,6 @@ __all__ = [
     "is_net_free",
     "is_tree",
     "is_weakly_closed",
-    "min_gb_degree",
     "minimal_primes",
     "net_graph",
     "prime_component",

@@ -1,21 +1,18 @@
 """Binomial edge ideals: edge binomial generators, admissible paths, the
-combinatorial reduced Groebner basis, initial ideals, and per-labeling
-basis degree probing.
+combinatorial reduced Groebner basis, initial ideals, and the basis
+degree under a labeling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .errors import SizeLimitError
 from .fields import QQ
 from .graphs import Graph
 from .ideals import Ideal
 from .recognizers import Labeling
 from .rings import Polynomial, RingContext
-
-MIN_DEGREE_CAP = 7
 
 
 def graph_ring(G: Graph, field=QQ) -> RingContext:
@@ -27,6 +24,21 @@ def edge_binomial(R: RingContext, i: int, j: int) -> Polynomial:
     if i > j:
         i, j = j, i
     return R.x(i) * R.y(j) - R.x(j) * R.y(i)
+
+
+def _edge_binomial_terms(R: RingContext, i: int, j: int) -> Polynomial:
+    """f_ij written down as its two terms, x_i y_j - x_j y_i, for i < j:
+    x_i outranks x_j in the lex order, so the terms come out descending.
+    At i = j the two monomials would be equal, so only i < j is taken."""
+    if not i < j:
+        raise ValueError(f"need i < j, got i={i}, j={j}")
+    n = R.nvars // 2
+    lead = [0] * R.nvars
+    lead[i - 1] = lead[n + j - 1] = 1
+    trail = [0] * R.nvars
+    trail[j - 1] = trail[n + i - 1] = 1
+    one = R.field.one
+    return Polynomial(R, ((tuple(lead), one), (tuple(trail), -one)))
 
 
 def binomial_edge_ideal(G: Graph, field=QQ) -> Ideal:
@@ -93,7 +105,7 @@ def groebner_combinatorial(G: Graph, field=QQ) -> list:
     R = graph_ring(G, field)
     elems = {}
     for p in admissible_paths(G):
-        g = p.monomial(R) * edge_binomial(R, p.i, p.j)
+        g = p.monomial(R) * _edge_binomial_terms(R, p.i, p.j)
         elems[g.terms] = g
     return sorted(elems.values(), key=lambda g: g.leading_monomial(), reverse=True)
 
@@ -119,18 +131,3 @@ def gb_max_degree(G: Graph, lab: Labeling | None = None) -> int:
     H = lab.apply(G) if lab is not None else G
     return max((len(p.interior) + 2 for p in admissible_paths(H)), default=0)
 
-
-def min_gb_degree(G: Graph) -> int:
-    """Minimum of gb_max_degree over all labelings (exhaustive; capped)."""
-    if G.n > MIN_DEGREE_CAP:
-        raise SizeLimitError(f"labeling minimum capped at n={MIN_DEGREE_CAP}")
-    if not G.edges:
-        return 0
-    best = None
-    for perm in permutations(range(1, G.n + 1)):
-        d = gb_max_degree(G, Labeling(perm))
-        if best is None or d < best:
-            best = d
-            if best == 2:
-                break  # edge binomials are quadratic; no labeling does better
-    return best

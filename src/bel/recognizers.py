@@ -2,11 +2,14 @@
 
 Covers caterpillar trees, closed and weakly closed graphs (per-labeling
 checks plus labeling searches, run only where no theorem rules a
-labeling out), comparability by Golumbic's TRO theorem (*Algorithmic
+labeling out: a claw or a chordless cycle of length >= 4 rules out a
+closed labeling), comparability by Golumbic's TRO theorem (*Algorithmic
 Graph Theory and Perfect Graphs*, 1980, ch. 5: no implication class
 holds an arc and its reverse), net-free graphs, and generalized
-caterpillars with explicit construction witnesses.  Weak closedness is
-decided by co-comparability at every n.  The caterpillar spine and the
+caterpillars with explicit construction witnesses.  The labeling search
+returns the least vertex order and drops a prefix as soon as some
+remaining vertex can no longer follow it.  Weak closedness is decided by
+co-comparability at every n.  The caterpillar spine and the
 generalized-caterpillar witness are read off the block structure.
 """
 
@@ -144,28 +147,35 @@ def is_weakly_closed_with_labeling(G: Graph, lab: Labeling) -> bool:
 
 
 def _search_labeling(G: Graph, triple_ok):
-    """Backtracking search for a vertex order whose induced labeling
-    satisfies a triple-local condition; returns a Labeling or None."""
+    """The lexicographically least vertex order whose induced labeling
+    satisfies a triple-local condition, as a Labeling, or None.
+
+    ``triple_ok(adj, a, b, c)`` reads only the three vertices, placed in
+    the order a, b, c.  So a vertex r rejected after a prefix stays
+    rejected: if ``triple_ok(a, v, r)`` fails for a placed before v, every
+    extension of the prefix puts r after both, where that triple is read.
+    The search drops the prefix as soon as it places such a v (forward
+    checking).  Every unplaced vertex has then passed each triple with two
+    placed vertices, read when the later of the two was placed, so any of
+    them may come next.  Only prefixes with no completion are dropped, so
+    the first order found is still the least one.
+    """
     adj = G.adj
     order = []
-    used = set()
 
-    def place():
-        if len(order) == G.n:
+    def place(remaining):
+        if not remaining:
             return True
-        for v in G.vertices:
-            if v in used:
-                continue
-            if all(triple_ok(adj, a, b, v) for a, b in combinations(order, 2)):
+        for v in remaining:
+            rest = [r for r in remaining if r != v]
+            if all(triple_ok(adj, a, v, r) for a in order for r in rest):
                 order.append(v)
-                used.add(v)
-                if place():
+                if place(rest):
                     return True
-                used.discard(v)
                 order.pop()
         return False
 
-    if place():
+    if place(list(G.vertices)):
         return Labeling.from_order(order)
     return None
 
@@ -190,7 +200,10 @@ def find_closed_labeling(G: Graph):
     """A closed labeling of G, or None.  A claw rules one out: of three
     pairwise non-adjacent neighbours of v, two lie on the same side of v,
     and their edges at v share the smaller end (i = k) or the larger
-    (j = l), which forces an edge between them."""
+    (j = l), which forces an edge between them.  So does an induced cycle
+    of length >= 4: its least vertex has both cycle neighbours above it,
+    and those two edges share the smaller end, which forces an edge
+    between the neighbours, a chord.  So G must be chordal."""
     if G.n > LABELING_SEARCH_CAP:
         raise SizeLimitError(
             f"exhaustive closed-labeling search capped at n={LABELING_SEARCH_CAP}"
@@ -199,7 +212,27 @@ def find_closed_labeling(G: Graph):
     if any(not (b in adj[a] or c in adj[a] or c in adj[b])
            for v in G.vertices for a, b, c in combinations(adj[v], 3)):
         return None
+    if not _is_chordal(G):
+        return None
     return _search_labeling(G, _closed_triple)
+
+
+def _is_chordal(G: Graph) -> bool:
+    """Deletes simplicial vertices (neighbours pairwise adjacent) while
+    there are any; G is chordal iff none is left.  Every chordal graph
+    has a simplicial vertex (Dirac 1961) and its induced subgraphs are
+    chordal, so a chordal G is deleted whole.  While an induced cycle of
+    length >= 4 is left, each of its vertices has two non-adjacent
+    neighbours on it, so none of them is ever deleted."""
+    adj = G.adj
+    left = set(G.vertices)
+    while left:
+        v = next((v for v in left
+                  if all(c in adj[b] for b, c in combinations(adj[v] & left, 2))), None)
+        if v is None:
+            return False
+        left.remove(v)
+    return True
 
 
 def is_closed(G: Graph) -> bool:

@@ -226,7 +226,9 @@ def criterion_weakly_closed_comparability() -> CriterionResult:
     """The weakly-closed-labeling search succeeds exactly on the
     co-comparability graphs with n <= 6; net-freeness matches weak
     closedness on the gencat corpus.  The search runs unguarded, since
-    ``find_weakly_closed_labeling`` itself consults co-comparability."""
+    ``find_weakly_closed_labeling`` itself consults co-comparability.
+    Its forward checking prunes only on the weak-closedness triples, not
+    on co-comparability, so this still checks Matsuda's theorem."""
 
     def run():
         atlas = corpus.graphs_upto(6)

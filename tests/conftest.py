@@ -6,12 +6,17 @@ from __future__ import annotations
 import random
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from bel import corpus
+from bel.errors import SizeLimitError
 from bel.graphs import Graph, add_whisker, clique_join, edge, is_connected, relabel
+from bel.recognizers import Labeling
+
+MIN_DEGREE_CAP = 7
 
 
 def connected_classes(max_n: int) -> list:
@@ -187,6 +192,57 @@ def oracle_blocks(G: Graph) -> list:
                 cands.append(set(sub))
     out = [b for b in cands if not any(b < c for c in cands)]
     return sorted(out, key=lambda b: (-len(b), sorted(b)))
+
+
+@lru_cache(maxsize=None)
+def oracle_search_labeling(G: Graph, triple_ok):
+    """The plain backtracking search for a vertex order whose induced
+    labeling satisfies a triple-local condition: each vertex, tried in
+    increasing order, is placed when every triple it closes with two
+    placed vertices passes, and nothing is pruned ahead.  Returns the
+    first complete order as a Labeling, or None.  Cached, since two tests
+    ask it about the same n = 7 graphs, where it takes seconds."""
+    adj = G.adj
+    order = []
+    used = set()
+
+    def place():
+        if len(order) == G.n:
+            return True
+        for v in G.vertices:
+            if v in used:
+                continue
+            if all(triple_ok(adj, a, b, v) for a, b in combinations(order, 2)):
+                order.append(v)
+                used.add(v)
+                if place():
+                    return True
+                used.discard(v)
+                order.pop()
+        return False
+
+    if place():
+        return Labeling.from_order(order)
+    return None
+
+
+def oracle_min_gb_degree(G: Graph) -> int:
+    """Least largest degree of the combinatorial reduced basis over all
+    n! labelings of G, by exhaustion; capped at MIN_DEGREE_CAP."""
+    from bel.bei import gb_max_degree
+
+    if G.n > MIN_DEGREE_CAP:
+        raise SizeLimitError(f"labeling minimum capped at n={MIN_DEGREE_CAP}")
+    if not G.edges:
+        return 0
+    best = None
+    for perm in permutations(range(1, G.n + 1)):
+        d = gb_max_degree(G, Labeling(perm))
+        if best is None or d < best:
+            best = d
+            if best == 2:
+                break  # edge binomials are quadratic; no labeling does better
+    return best
 
 
 def oracle_is_comparability(G: Graph) -> bool:

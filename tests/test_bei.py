@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from bel import corpus
 from bel.bei import (
     AdmissiblePath,
+    _edge_binomial_terms,
     admissible_paths,
     binomial_edge_ideal,
     edge_binomial,
@@ -13,18 +15,52 @@ from bel.bei import (
     graph_ring,
     groebner_combinatorial,
     initial_ideal,
-    min_gb_degree,
 )
 from bel.errors import SizeLimitError
+from bel.fields import QQ, PrimeField
 from bel.graphs import Graph, edge, net_graph
 from bel.recognizers import Labeling
-from conftest import connected_classes, oracle_admissible_paths
+from bel.rings import RingContext
+from conftest import connected_classes, oracle_admissible_paths, oracle_min_gb_degree
+
+# sha256 of str of every groebner_combinatorial element, one line each and
+# an empty line after each graph, over corpus.graphs_upto(7) as listed
+_BASIS_DIGEST = "b6483cf153d6717e5112160e38860b70a649308259f47da19871c673eb2bf95d"
 
 
 def test_edge_binomial():
     R = graph_ring(Graph.path(3))
     f = edge_binomial(R, 2, 1)
     assert str(f) == "x1*y2 - x2*y1"
+
+
+def test_edge_binomial_terms_match_ring_arithmetic():
+    """For 1 <= i < j <= 9, over QQ and F_32003, the written-down f_ij has
+    the terms and the coefficient types of edge_binomial's; i >= j is
+    refused, where edge_binomial gives 0 at i = j."""
+    for field in (QQ, PrimeField(32003)):
+        R = RingContext.for_graph(9, field)
+        for i, j in combinations(range(1, 10), 2):
+            got, want = _edge_binomial_terms(R, i, j), edge_binomial(R, i, j)
+            assert got.terms == want.terms, (field, i, j)
+            assert ([type(c) for _, c in got.terms]
+                    == [type(c) for _, c in want.terms]), (field, i, j)
+        assert edge_binomial(R, 3, 3).is_zero
+        for i, j in ((3, 3), (4, 3)):
+            with pytest.raises(ValueError):
+                _edge_binomial_terms(R, i, j)
+
+
+def test_combinatorial_basis_digest(classes_upto_7):
+    """Every combinatorial basis over the 1,252 classes with n <= 7, as
+    listed, hashes to the pinned digest."""
+    digest = hashlib.sha256()
+    for G in classes_upto_7:
+        for g in groebner_combinatorial(G):
+            digest.update(str(g).encode() + b"\n")
+        digest.update(b"\n")
+    assert len(classes_upto_7) == 1252
+    assert digest.hexdigest() == _BASIS_DIGEST
 
 
 def test_admissible_paths_path_graph():
@@ -116,11 +152,12 @@ def test_gb_max_degree_matches_basis_degrees(small_transversal):
 
 
 def test_min_gb_degree():
-    assert min_gb_degree(Graph.path(4)) == 2
-    assert min_gb_degree(Graph.star(3)) == 3  # no labeling makes a non-path tree quadratic
-    assert min_gb_degree(Graph.empty(2)) == 0
+    assert oracle_min_gb_degree(Graph.path(4)) == 2
+    # no labeling makes a non-path tree quadratic
+    assert oracle_min_gb_degree(Graph.star(3)) == 3
+    assert oracle_min_gb_degree(Graph.empty(2)) == 0
     with pytest.raises(SizeLimitError):
-        min_gb_degree(Graph.path(8))
+        oracle_min_gb_degree(Graph.path(8))
 
 
 def test_min_degree_two_iff_closed():
@@ -131,7 +168,7 @@ def test_min_degree_two_iff_closed():
     for G in connected_classes(5):
         if not G.edges:
             continue
-        assert (min_gb_degree(G) == 2) == is_closed(G), sorted(G.edges)
+        assert (oracle_min_gb_degree(G) == 2) == is_closed(G), sorted(G.edges)
 
 
 def test_admissible_paths_match_oracle():

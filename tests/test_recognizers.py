@@ -39,6 +39,7 @@ from conftest import (
     oracle_central_path,
     oracle_is_comparability,
     oracle_is_net_free,
+    oracle_search_labeling,
     seeded_relabellings,
 )
 
@@ -128,15 +129,47 @@ def test_labeling_search_cap():
 
 
 def test_guarded_searches_match_raw_search():
-    """A claw, or a complement with no transitive orientation, returns
-    None before any search; on every class with n <= 6, as listed and
-    under two seeded relabellings, the result is still the raw search's."""
+    """A claw, a chordless cycle of length >= 4, or a complement with no
+    transitive orientation returns None before any search; on every class
+    with n <= 6, as listed and under two seeded relabellings, the result
+    is still that of the unguarded search, which is the pruned
+    ``_search_labeling`` (checked against the plain search in
+    test_pruned_search_matches_plain_search)."""
     rng = random.Random(20)
     for G in corpus.graphs_upto(6):
         for H in [G, *seeded_relabellings(G, 2, rng)]:
             assert find_closed_labeling(H) == _search_labeling(H, _closed_triple), sorted(H.edges)
             assert (find_weakly_closed_labeling(H)
                     == _search_labeling(H, _weakly_closed_triple)), sorted(H.edges)
+
+
+def test_pruned_search_matches_plain_search(classes_upto_7):
+    """The forward-checking search returns the plain backtracking search's
+    labelling, or None with it, under both triple conditions: on every
+    class with n <= 6 under two seeded relabellings, and on every n = 7
+    class as listed."""
+    rng = random.Random(26)
+    cases = [H for G in classes_upto_7 if G.n <= 6 for H in seeded_relabellings(G, 2, rng)]
+    cases += [G for G in classes_upto_7 if G.n == 7]
+    assert len(cases) == 2 * 208 + 1044
+    for H in cases:
+        for triple_ok in (_closed_triple, _weakly_closed_triple):
+            assert (_search_labeling(H, triple_ok)
+                    == oracle_search_labeling(H, triple_ok)), (sorted(H.edges), triple_ok)
+
+
+def test_closed_labeling_needs_chordal(classes_upto_7):
+    """On every class with n <= 7, a graph that networkx finds not chordal
+    has no closed labelling, and find_closed_labeling returns the plain
+    search's labelling."""
+    non_chordal = 0
+    for G in classes_upto_7:
+        got = find_closed_labeling(G)
+        if not nx.is_chordal(G.to_networkx()):
+            non_chordal += 1
+            assert got is None, sorted(G.edges)
+        assert got == oracle_search_labeling(G, _closed_triple), sorted(G.edges)
+    assert non_chordal > 0
 
 
 def test_comparability_against_oracle():
