@@ -100,14 +100,17 @@ def admissible_paths(G: Graph) -> list:
 
 
 def groebner_combinatorial(G: Graph, field=QQ) -> list:
-    """The set {u_pi * f_ij} over admissible paths, monic, deduplicated,
-    sorted by leading monomial descending (the kernel's canonical order)."""
+    """The elements u_pi * f_ij over admissible paths, monic, sorted by
+    leading monomial descending (the kernel's canonical order).
+
+    Distinct paths give distinct elements, so none is dropped: in the
+    leading monomial u_pi * x_i * y_j, i is the least x-index and j the
+    largest y-index (interior vertices lie below i or above j), the other
+    variables give the interior's vertex set, and an induced path is fixed
+    by its vertex set and its ends."""
     R = graph_ring(G, field)
-    elems = {}
-    for p in admissible_paths(G):
-        g = p.monomial(R) * _edge_binomial_terms(R, p.i, p.j)
-        elems[g.terms] = g
-    return sorted(elems.values(), key=lambda g: g.leading_monomial(), reverse=True)
+    elems = [p.monomial(R) * _edge_binomial_terms(R, p.i, p.j) for p in admissible_paths(G)]
+    return sorted(elems, key=lambda g: g.leading_monomial(), reverse=True)
 
 
 def initial_ideal(G: Graph, field=QQ) -> Ideal:

@@ -13,12 +13,12 @@ import time
 
 import click
 
-from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
+from .bei import binomial_edge_ideal, groebner_combinatorial, initial_ideal
 from .complexes import delta_of, find_special_odd_cycle
 from .decomp import MINIMAL_PRIMES_CAP, equality_verdict, minimal_primes
 from .errors import SizeLimitError
 from .fields import RATIONAL_BACKEND, field_from_spec
-from .graphs import Graph, GraphParseError, complement, from_file
+from .graphs import Graph, GraphParseError, from_file
 from .kernel import KERNEL_NAME
 from .recognizers import (
     find_closed_labeling,
@@ -113,7 +113,8 @@ def classify(graph_file, as_json):
         "weakly_closed": weak is not None,
         "weakly_closed_labeling": weak.as_dict() if weak else None,
         "comparability": is_comparability(G),
-        "complement_comparability": is_comparability(complement(G)),
+        # a weakly closed labeling exists iff the complement is comparability (Matsuda)
+        "complement_comparability": weak is not None,
     }
     rep = _report("classify", G, results, t0)
     _emit(rep, as_json, [f"{k}: {v}" for k, v in results.items()])
@@ -135,7 +136,7 @@ def gb(graph_file, as_json, field_spec, check_buchberger):
     results = {
         "basis": [str(g) for g in basis],
         "size": len(basis),
-        "max_degree": gb_max_degree(G),
+        "max_degree": max((g.total_degree() for g in basis), default=0),
     }
     ok = True
     if check_buchberger:

@@ -1,5 +1,7 @@
 """The simplicial complex of a squarefree monomial ideal and the special
-odd cycle search driving the power-equality criterion.
+odd cycle search driving the power-equality criterion: depth first, each
+cycle anchored at its least vertex in roster order, facets in order of
+their roster positions, each step checking only the facets it touches.
 """
 
 from __future__ import annotations
@@ -7,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
+from .bei import initial_ideal
 from .graphs import Graph
 from .ideals import Ideal
 
@@ -72,59 +75,51 @@ def delta_of(I: Ideal) -> SimplicialComplex:
 
 
 def find_special_odd_cycle(cx: SimplicialComplex):
-    """A special cycle of odd length s >= 3 if one exists, else None.
+    """The first special cycle of odd length s >= 3 found depth first, or
+    None.
 
-    Exhaustive backtracking over alternating sequences; rotations and
-    reflections are avoided by anchoring at the least vertex and ordering
-    facets.  Partial sequences already violating the two-vertices-per-facet
-    rule are pruned.
+    Start vertices go in roster order and a cycle takes only later
+    vertices, so each cycle is found from its least vertex.  From the last
+    vertex the search takes the facets holding it, in order of their
+    roster positions, tries to close the cycle, then extends by each
+    facet vertex in roster order.  A step raises only the counts it
+    touches, so it checks only those: a new facet holds at most two cycle
+    vertices, and a new vertex lies in no taken facet already holding two.
+
+    So the result needs no check: vertices and facets are each taken once;
+    F_i holds v_i, from whose facets it came, and v_{i+1}, drawn from it;
+    the closing facet holds v_s and the start; no facet holds three.
     """
-    symbol_pos = {s: i for i, s in enumerate(cx.vertices)}
-    facets = sorted(cx.facets, key=lambda f: sorted(symbol_pos[s] for s in f))
+    pos = {s: i for i, s in enumerate(cx.vertices)}
+    roster = {f: sorted(f, key=pos.get) for f in cx.facets}
     by_vertex = {}
-    for f in facets:
+    for f in sorted(cx.facets, key=lambda f: [pos[s] for s in roster[f]]):
         for v in f:
             by_vertex.setdefault(v, []).append(f)
 
-    def special_ok(vset, fseq):
-        return all(len(f & vset) <= 2 for f in fseq)
-
-    def search(start, vseq, fseq, vset, fset):
-        v = vseq[-1]
-        for f in by_vertex.get(v, ()):
-            if f in fset:
+    def search(start, vseq, fseq, vset):
+        for f in by_vertex.get(vseq[-1], ()):
+            if f in fseq or len(f & vset) > 2:
                 continue
             fseq.append(f)
-            fset.add(f)
-            if special_ok(vset, fseq):
-                # close the cycle with odd length >= 3
-                if len(vseq) >= 3 and len(vseq) % 2 == 1 and start in f:
-                    result = SpecialCycle(tuple(vseq), tuple(fseq))
-                    try:
-                        result.validate(cx)
-                    except ValueError:
-                        result = None
-                    if result is not None:
-                        fseq.pop()
-                        fset.discard(f)
-                        return result
-                for w in sorted(f, key=symbol_pos.get):
-                    if w in vset or symbol_pos[w] < symbol_pos[start]:
-                        continue
-                    vseq.append(w)
-                    vset.add(w)
-                    if special_ok(vset, fseq):
-                        got = search(start, vseq, fseq, vset, fset)
-                        if got is not None:
-                            return got
-                    vseq.pop()
-                    vset.discard(w)
+            if len(vseq) >= 3 and len(vseq) % 2 == 1 and start in f:
+                return SpecialCycle(tuple(vseq), tuple(fseq))
+            for w in roster[f]:
+                if (w in vset or pos[w] < pos[start]
+                        or any(w in g and len(g & vset) == 2 for g in fseq)):
+                    continue
+                vseq.append(w)
+                vset.add(w)
+                got = search(start, vseq, fseq, vset)
+                if got is not None:
+                    return got
+                vseq.pop()
+                vset.discard(w)
             fseq.pop()
-            fset.discard(f)
         return None
 
-    for start in sorted(cx.vertices, key=symbol_pos.get):
-        got = search(start, [start], [], {start}, set())
+    for start in cx.vertices:
+        got = search(start, [start], [], {start})
         if got is not None:
             return got
     return None
@@ -134,6 +129,4 @@ def equality_criterion_via_cycles(G: Graph) -> bool:
     """True iff the complex of the initial ideal has no special odd cycle.
     True is a sufficient certificate for symbolic = ordinary powers; False
     certifies nothing."""
-    from .bei import initial_ideal
-
     return find_special_odd_cycle(delta_of(initial_ideal(G))) is None

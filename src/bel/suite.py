@@ -11,8 +11,8 @@ import time
 from dataclasses import dataclass
 
 from . import corpus
-from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial, initial_ideal
-from .complexes import delta_of, find_special_odd_cycle
+from .bei import binomial_edge_ideal, gb_max_degree, groebner_combinatorial
+from .complexes import equality_criterion_via_cycles
 from .decomp import (
     _subsets,
     groebner_verdict,
@@ -22,7 +22,7 @@ from .decomp import (
 )
 from .fields import PrimeField
 from .graphs import Graph, ass_count_is_two, complement, is_connected, net_graph
-from .ideals import intersect_all
+from .ideals import Ideal, intersect_all
 from .recognizers import (
     _search_labeling,
     _weakly_closed_triple,
@@ -161,8 +161,7 @@ def criterion_caterpillars() -> CriterionResult:
             if not groebner_verdict(G, 2).equal:
                 problems.append(f"t=2 inequality on {sorted(G.edges)}")
             lab = caterpillar_labeling(G)
-            H = lab.apply(G)
-            if find_special_odd_cycle(delta_of(initial_ideal(H))) is not None:
+            if not equality_criterion_via_cycles(lab.apply(G)):
                 problems.append(f"special odd cycle on {sorted(G.edges)}")
             if gb_max_degree(G, lab) > 3:
                 problems.append(f"basis degree > 3 on {sorted(G.edges)}")
@@ -186,7 +185,7 @@ def criterion_net_negative() -> CriterionResult:
         # route 1: canonical GB membership
         ordinary = binomial_edge_ideal(net).power(2)
         symbolic = symbolic_power(net, 2)
-        route1 = symbolic.contains(w) and not ordinary.contains(w)
+        route1 = v.check_witness(ordinary, symbolic)
         # route 2: membership in every minimal-prime power separately, and
         # ordinary non-membership recomputed over a prime field
         in_all_primes = all(
@@ -268,8 +267,6 @@ def criterion_properties() -> CriterionResult:
             if not all(sym.contains(g) for g in ordinary.gens):
                 problems.append(f"containment J^2 not in J^(2) on {sorted(G.edges)}")
             gb = J.groebner()
-            from .ideals import Ideal
-
             again = Ideal(J.ring, gb).groebner()
             if tuple(again) != tuple(gb):
                 problems.append(f"GB not idempotent on {sorted(G.edges)}")

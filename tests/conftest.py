@@ -14,6 +14,7 @@ import pytest
 from bel import corpus
 from bel.errors import SizeLimitError
 from bel.graphs import Graph, add_whisker, clique_join, edge, is_connected, relabel
+from bel.complexes import SpecialCycle
 from bel.recognizers import Labeling
 
 MIN_DEGREE_CAP = 7
@@ -223,6 +224,69 @@ def oracle_search_labeling(G: Graph, triple_ok):
 
     if place():
         return Labeling.from_order(order)
+    return None
+
+
+def oracle_first_special_odd_cycle(cx):
+    """The plain search that ``find_special_odd_cycle`` replaced, kept as
+    it was: each step rescans every facet in the sequence, and each cycle
+    found is validated before it is returned.
+
+    A special cycle of odd length s >= 3 if one exists, else None.
+
+    Exhaustive backtracking over alternating sequences; rotations and
+    reflections are avoided by anchoring at the least vertex and ordering
+    facets.  Partial sequences already violating the two-vertices-per-facet
+    rule are pruned.
+    """
+    symbol_pos = {s: i for i, s in enumerate(cx.vertices)}
+    facets = sorted(cx.facets, key=lambda f: sorted(symbol_pos[s] for s in f))
+    by_vertex = {}
+    for f in facets:
+        for v in f:
+            by_vertex.setdefault(v, []).append(f)
+
+    def special_ok(vset, fseq):
+        return all(len(f & vset) <= 2 for f in fseq)
+
+    def search(start, vseq, fseq, vset, fset):
+        v = vseq[-1]
+        for f in by_vertex.get(v, ()):
+            if f in fset:
+                continue
+            fseq.append(f)
+            fset.add(f)
+            if special_ok(vset, fseq):
+                # close the cycle with odd length >= 3
+                if len(vseq) >= 3 and len(vseq) % 2 == 1 and start in f:
+                    result = SpecialCycle(tuple(vseq), tuple(fseq))
+                    try:
+                        result.validate(cx)
+                    except ValueError:
+                        result = None
+                    if result is not None:
+                        fseq.pop()
+                        fset.discard(f)
+                        return result
+                for w in sorted(f, key=symbol_pos.get):
+                    if w in vset or symbol_pos[w] < symbol_pos[start]:
+                        continue
+                    vseq.append(w)
+                    vset.add(w)
+                    if special_ok(vset, fseq):
+                        got = search(start, vseq, fseq, vset, fset)
+                        if got is not None:
+                            return got
+                    vseq.pop()
+                    vset.discard(w)
+            fseq.pop()
+            fset.discard(f)
+        return None
+
+    for start in sorted(cx.vertices, key=symbol_pos.get):
+        got = search(start, [start], [], {start}, set())
+        if got is not None:
+            return got
     return None
 
 

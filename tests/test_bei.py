@@ -136,7 +136,8 @@ def test_gb_max_degree_matches_basis_degrees(small_transversal):
     """gb_max_degree, read off the admissible paths, equals the largest
     degree of the combinatorial basis: on every connected graph with
     n <= 5 under its own labelling and a seeded relabelling, on seeded
-    n = 6 graphs, and on edgeless graphs."""
+    n = 6 graphs, and on edgeless graphs.  The basis has one element per
+    admissible path: distinct paths never give the same element."""
     rng = random.Random(12)
     cases = []
     for G in small_transversal:
@@ -147,7 +148,9 @@ def test_gb_max_degree_matches_basis_degrees(small_transversal):
     cases += [(Graph.empty(n), None) for n in (1, 2, 4)]
     for G, lab in cases:
         H = lab.apply(G) if lab is not None else G
-        want = max((g.total_degree() for g in groebner_combinatorial(H)), default=0)
+        basis = groebner_combinatorial(H)
+        assert len(basis) == len(admissible_paths(H)), (G, lab)
+        want = max((g.total_degree() for g in basis), default=0)
         assert gb_max_degree(G, lab) == want, (G, lab)
 
 

@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import bel
-from bel import cli
+from bel import cli, corpus
+from bel.bei import gb_max_degree
 from bel.fields import QQ, RATIONAL_BACKEND
-from bel.graphs import Graph, clique_join, net_graph, to_text
+from bel.graphs import Graph, clique_join, complement, net_graph, to_text
+from bel.recognizers import is_comparability
 from bel.suite import CriterionResult
 
 
@@ -91,6 +93,29 @@ def test_classify_results_pinned(runner, graph_file, name):
     res = runner.invoke(cli.main, ["classify", "--json", graph_file(G)])
     assert res.exit_code == 0
     assert list(json.loads(res.output)["results"].items()) == list(zip(CLASSIFY_KEYS, values))
+
+
+def test_classify_complement_comparability(runner, graph_file):
+    """``complement_comparability`` is read off the weakly closed search;
+    on every class with n <= 6 it equals the comparability test run on the
+    complement."""
+    graphs = corpus.graphs_upto(6)
+    assert len(graphs) == 208
+    for G in graphs:
+        res = runner.invoke(cli.main, ["classify", "--json", graph_file(G)])
+        assert res.exit_code == 0
+        got = json.loads(res.output)["results"]["complement_comparability"]
+        assert got == is_comparability(complement(G)), sorted(G.edges)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+def test_gb_max_degree_read_off_basis(runner, graph_file, field):
+    """``max_degree`` of ``bel gb`` is the basis's largest total degree,
+    which ``gb_max_degree`` reads off the admissible paths."""
+    for G in (Graph.star(3), Graph.path(4), Graph.complete(4), net_graph(), Graph.empty(3)):
+        res = runner.invoke(cli.main, ["gb", "--json", "--field", field, graph_file(G)])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["results"]["max_degree"] == gb_max_degree(G)
 
 
 def test_gb_with_check(runner, graph_file):

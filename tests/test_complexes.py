@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bel.bei import initial_ideal
@@ -10,7 +12,12 @@ from bel.complexes import (
 )
 from bel.graphs import Graph, net_graph
 from bel.recognizers import gencat_labeling, is_generalized_caterpillar, is_net_free
-from conftest import oracle_is_net_free, oracle_special_odd_cycles
+from conftest import (
+    oracle_first_special_odd_cycle,
+    oracle_is_net_free,
+    oracle_special_odd_cycles,
+    seeded_relabellings,
+)
 
 
 def cx(*facets):
@@ -140,3 +147,18 @@ def test_validate_rejects_bad_cycles():
         SpecialCycle(("a", "b", "a"), (fab, fbc, fca)).validate(c)
     with pytest.raises(ValueError):
         SpecialCycle(("a", "b", "c"), (fab, fbc, frozenset("ad"))).validate(c)
+
+
+def test_search_matches_plain_search(classes_upto_7):
+    """The incremental search returns exactly the cycle of the plain
+    search, vertices and facets in order, or None with it: every class
+    with n <= 7 under its own labelling and two seeded relabellings."""
+    rng = random.Random(27)
+    found = 0
+    for G in classes_upto_7:
+        for H in [G] + seeded_relabellings(G, 2, rng):
+            c = delta_of(initial_ideal(H))
+            got = find_special_odd_cycle(c)
+            assert got == oracle_first_special_odd_cycle(c), sorted(H.edges)
+            found += got is not None
+    assert 0 < found < 3 * len(classes_upto_7)
