@@ -35,7 +35,6 @@ from .kernel import KERNEL_NAME
 from .recognizers import (
     GenCatWitness,
     Labeling,
-    caterpillar_labeling,
     find_closed_labeling,
     find_weakly_closed_labeling,
     gencat_labeling,
@@ -71,7 +70,6 @@ __all__ = [
     "SpecialCycle",
     "admissible_paths",
     "binomial_edge_ideal",
-    "caterpillar_labeling",
     "complement",
     "delta_of",
     "edge_binomial",

@@ -1,5 +1,5 @@
-"""Ideal-level algebra: membership, canonical equality, sum, product,
-power, and intersection by eliminating one fresh leading variable.
+"""Ideal-level algebra: membership, canonical equality, sum, power, and
+intersection by eliminating one fresh leading variable.
 
 Equality and membership always go through the cached reduced Groebner
 basis, which is canonical for the ideal under the ring's lex order.
@@ -72,19 +72,6 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens)
 
     __add__ = sum
-
-    def product(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
-        prods = []
-        seen = set()
-        for f in self.gens:
-            for g in other.gens:
-                h = f * g
-                if h.terms not in seen:
-                    seen.add(h.terms)
-                    prods.append(h)
-        return Ideal(self.ring, prods)
 
     def power(self, t: int) -> "Ideal":
         """t-fold product; generators deduplicated and interreduced."""

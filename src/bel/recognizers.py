@@ -9,8 +9,9 @@ holds an arc and its reverse), net-free graphs, and generalized
 caterpillars with explicit construction witnesses.  The labeling search
 returns the least vertex order and drops a prefix as soon as some
 remaining vertex can no longer follow it.  Weak closedness is decided by
-co-comparability at every n.  The caterpillar spine and the
-generalized-caterpillar witness are read off the block structure.
+co-comparability at every n.  The generalized-caterpillar witness is
+read off the block structure, and caterpillar trees, which are
+generalized caterpillars, take its labeling.
 """
 
 from __future__ import annotations
@@ -44,19 +45,12 @@ class Labeling:
             raise ValueError("labeling is not a bijection onto 1..n")
 
     @staticmethod
-    def identity(n: int) -> "Labeling":
-        return Labeling(tuple(range(1, n + 1)))
-
-    @staticmethod
     def from_order(order) -> "Labeling":
         """order[k] is the vertex that receives label k+1."""
         sigma = [0] * len(order)
         for pos, v in enumerate(order):
             sigma[v - 1] = pos + 1
         return Labeling(tuple(sigma))
-
-    def label_of(self, v: int) -> int:
-        return self.sigma[v - 1]
 
     def as_dict(self) -> dict:
         return {v + 1: lab for v, lab in enumerate(self.sigma)}
@@ -78,42 +72,6 @@ def is_caterpillar(G: Graph) -> bool:
         return False
     internal = {v for v in G.vertices if G.degree(v) >= 2}
     return all(len(G.adj[v] & internal) <= 2 for v in internal)
-
-
-def central_path(G: Graph) -> tuple:
-    """A longest path of a caterpillar tree, each path read in its
-    lexicographically smaller direction and ties broken by the least
-    vertex sequence.
-
-    The non-leaf vertices form a path, the spine.  A longest path ends in
-    two leaves, so its interior is a subpath of the spine, and each end
-    of the spine carries a leaf: the longest paths are a leaf at one end
-    of the spine, the spine, and a leaf at the other end."""
-    if not is_caterpillar(G):
-        raise ValueError("not a caterpillar tree")
-    if G.n <= 2:
-        return tuple(G.vertices)
-    inner = {v for v in G.vertices if G.degree(v) >= 2}
-    spine = [min(v for v in inner if len(G.adj[v] & inner) <= 1)]
-    while len(spine) < len(inner):
-        (nxt,) = G.adj[spine[-1]] & inner - set(spine)
-        spine.append(nxt)
-    paths = [(a, *spine, b) for a in G.adj[spine[0]] - inner
-             for b in G.adj[spine[-1]] - inner if a != b]
-    return min(min(p, p[::-1]) for p in paths)
-
-
-def caterpillar_labeling(G: Graph) -> Labeling:
-    """Labeling used for caterpillar trees: a degree-one endpoint of the
-    central path gets 1, then each path vertex precedes its whisker
-    vertices, which precede the next path vertex."""
-    P = central_path(G)
-    pset = set(P)
-    order = []
-    for v in P:
-        order.append(v)
-        order.extend(sorted(G.neighbors(v) - pset))
-    return Labeling.from_order(order)
 
 
 # ------------------------------------------------- closed / weakly closed
@@ -361,8 +319,11 @@ def is_generalized_caterpillar(G: Graph):
     two vertices; the walk below builds it.  Each end is a non-cut vertex
     of an end block, one carrying a whisker first (else ``gencat_labeling``
     would place that whisker away from its vertex), then extended by its
-    least whisker; a star's path is its centre so extended.  The witness
-    is checked by replay.
+    least whisker; a star's path is its centre so extended.  On a
+    caterpillar tree the core is the spine of non-leaf vertices, so the
+    path is the least longest path, read in its smaller direction: the
+    spine with the least whisker at each end.  The witness is checked by
+    replay.
     """
     if not is_connected(G) or not is_block_graph(G):
         return None
@@ -408,9 +369,10 @@ def is_generalized_caterpillar(G: Graph):
 
 
 def gencat_labeling(G: Graph) -> Labeling:
-    """The weakly-closed labeling for net-free generalized caterpillars:
-    walk the central path, labeling each path vertex, then its whiskers,
-    then the clique vertices on the next path edge with their whiskers."""
+    """The weakly-closed labeling for net-free generalized caterpillars,
+    caterpillar trees among them: walk the witness path, labeling each
+    path vertex, then its whiskers, then the clique vertices on the next
+    path edge with their whiskers."""
     if not is_net_free(G):
         raise ValueError("graph contains an induced net")
     witness = is_generalized_caterpillar(G)

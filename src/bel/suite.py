@@ -26,7 +26,6 @@ from .ideals import Ideal, intersect_all
 from .recognizers import (
     _search_labeling,
     _weakly_closed_triple,
-    caterpillar_labeling,
     gencat_labeling,
     is_comparability,
     is_net_free,
@@ -152,7 +151,7 @@ def criterion_ass_two_powers() -> CriterionResult:
 
 def criterion_caterpillars() -> CriterionResult:
     """Caterpillar trees: equal powers at t=2 (t=3 for the 3-star), no
-    special odd cycles under the caterpillar labeling, basis degree <= 3."""
+    special odd cycles under `gencat_labeling`, basis degree <= 3."""
 
     def run():
         cats = corpus.caterpillars_upto(6)
@@ -160,7 +159,7 @@ def criterion_caterpillars() -> CriterionResult:
         for G in cats:
             if not groebner_verdict(G, 2).equal:
                 problems.append(f"t=2 inequality on {sorted(G.edges)}")
-            lab = caterpillar_labeling(G)
+            lab = gencat_labeling(G)
             if not equality_criterion_via_cycles(lab.apply(G)):
                 problems.append(f"special odd cycle on {sorted(G.edges)}")
             if gb_max_degree(G, lab) > 3:

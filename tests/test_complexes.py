@@ -10,6 +10,7 @@ from bel.complexes import (
     equality_criterion_via_cycles,
     find_special_odd_cycle,
 )
+from bel.decomp import groebner_verdict
 from bel.graphs import Graph, net_graph
 from bel.recognizers import gencat_labeling, is_generalized_caterpillar, is_net_free
 from conftest import (
@@ -108,17 +109,6 @@ def test_net_has_special_odd_cycle():
     assert not equality_criterion_via_cycles(net_graph())
 
 
-def test_caterpillar_complexes_have_none():
-    """Under the caterpillar labeling the complex of the initial ideal
-    has no special odd cycle (the property is labeling-sensitive)."""
-    from bel import corpus
-    from bel.recognizers import caterpillar_labeling
-
-    for G in corpus.caterpillars_upto(5):
-        H = caterpillar_labeling(G).apply(G)
-        assert equality_criterion_via_cycles(H)
-
-
 def test_generalized_caterpillars_upto_7(classes_upto_7):
     """Verified for n <= 7, over every isomorphism class: each net-free
     generalized caterpillar, relabelled by ``gencat_labeling``, has an
@@ -135,6 +125,19 @@ def test_generalized_caterpillars_upto_7(classes_upto_7):
     for G in net_free:
         H = gencat_labeling(G).apply(G)
         assert find_special_odd_cycle(delta_of(initial_ideal(H))) is None, sorted(H.edges)
+
+
+def test_generalized_caterpillars_with_a_net_are_unequal(classes_upto_7):
+    """Verified for n <= 7: every generalized caterpillar that is not
+    net-free, the net and four classes with n = 7, has J_G^2 != J_G^(2)
+    by the Groebner verdict.  With test_generalized_caterpillars_upto_7,
+    a generalized caterpillar with n <= 7 is equal at t=2 iff it is
+    net-free."""
+    with_net = [G for G in classes_upto_7
+                if is_generalized_caterpillar(G) is not None and not is_net_free(G)]
+    assert sorted(G.n for G in with_net) == [6, 7, 7, 7, 7]
+    for G in with_net:
+        assert not groebner_verdict(G, 2).equal, sorted(G.edges)
 
 
 def test_validate_rejects_bad_cycles():

@@ -190,8 +190,11 @@ def test_theorem_route_agrees_with_groebner(small_transversal):
 
 NET_WITNESS = ("x1*x4*x5*y2*y3*y6 - x1*x4*x6*y2*y3*y5 - x2*x4*x5*y1*y3*y6 + x2*x5*x6*y1*y3*y4"
                " + x3*x4*x6*y1*y2*y5 - x3*x5*x6*y1*y2*y4")
-HOUSE = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-HOUSE_DIAGONAL = Graph(5, HOUSE.edges | {(1, 2)})
+# K_{2,3} under two labellings, parts {3, 4} and {1, 2, 5} (K23_34) and
+# parts {2, 5} and {1, 3, 4} (K23), and K23_34 with the edge 1-2 added
+# inside its larger part
+K23_34 = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+K23_34_PLUS_12 = Graph(5, K23_34.edges | {(1, 2)})
 K23 = Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
@@ -200,8 +203,8 @@ def test_verdict_route(monkeypatch):
     fields and disconnected graphs keep the Groebner verdict and witness."""
     groebner_cases = [
         (net_graph(), None, False, NET_WITNESS),
-        (HOUSE, None, True, None),
-        (HOUSE_DIAGONAL, None, True, None),
+        (K23_34, None, True, None),
+        (K23_34_PLUS_12, None, True, None),
         (K23, None, True, None),
         (Graph.complete(4), None, True, None),
         (disjoint_union(Graph.path(3), Graph.path(3)), None, True, None),
@@ -233,10 +236,10 @@ def test_verdict_route(monkeypatch):
 
 def test_fold_order_does_not_change_the_basis():
     """symbolic_power folds top-dimensional first, yet every order of the
-    three P_U^2 of the house, the house with a diagonal and K_{2,3}, and
-    three other orders of the six of C5, fold to its reduced basis; the
-    net, whose seven primes all have dimension 7, keeps its witness."""
-    for G in (HOUSE, HOUSE_DIAGONAL, K23):
+    three P_U^2 of K23_34, K23_34_PLUS_12 and K23, and three other orders
+    of the six of C5, fold to its reduced basis; the net, whose seven
+    primes all have dimension 7, keeps its witness."""
+    for G in (K23_34, K23_34_PLUS_12, K23):
         want = symbolic_power(G, 2).groebner()
         powers = [pc.ideal.power(2) for pc in minimal_primes(G)]
         assert len(powers) == 3
@@ -256,7 +259,7 @@ def test_fold_order_does_not_change_the_basis():
 
 
 def test_house_fold_reduces_few_s_polynomials(monkeypatch):
-    """The house's t=2 fold, with the basis of the result, reduces at most
+    """K23_34's t=2 fold, with the basis of the result, reduces at most
     1,500 S-polynomials: folded fewest generators first, P_emptyset^2 came
     last and it reduced 3,387."""
     stats = {}
@@ -267,5 +270,5 @@ def test_house_fold_reduces_few_s_polynomials(monkeypatch):
         return fold(ideals)
 
     monkeypatch.setattr(decomp, "intersect_all", counted_fold)
-    symbolic_power(HOUSE, 2).groebner()
+    symbolic_power(K23_34, 2).groebner()
     assert 0 < stats["reduced"] <= 1500

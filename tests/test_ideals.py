@@ -31,7 +31,7 @@ def test_sum_and_product(R):
     I = Ideal(R, [R.x(1)])
     J = Ideal(R, [R.y(1)])
     assert (I + J).equal(Ideal(R, [R.x(1), R.y(1)]))
-    assert I.product(J).equal(Ideal(R, [R.x(1) * R.y(1)]))
+    assert (I + J).power(2).equal(Ideal(R, [R.x(1) ** 2, R.x(1) * R.y(1), R.y(1) ** 2]))
 
 
 def test_power_principal(R):

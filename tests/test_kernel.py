@@ -335,7 +335,8 @@ def test_skipped_final_sweep_keeps_the_reduced_basis():
 _KERNEL_DIGEST = ("a261474c838fbcf0ce881e529cb03f2b3348c1020baa752741b8b8ef1173823f", 40)
 # the same over the reduced bases of test_prime_component_digest
 _PRIME_DIGEST = ("d361193b2456e188cdb98cb7cf23e5b1f7e3101f1dfad0e4300d6ea26c5cee33", 32)
-HOUSE = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+# K_{2,3} with parts {3, 4} and {1, 2, 5}
+K23_34 = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 def _record_buchberger(monkeypatch):
@@ -357,13 +358,13 @@ def _record_buchberger(monkeypatch):
 
 def test_kernel_output_digest(monkeypatch):
     """Every kernel.buchberger output met while computing J_G and J_G^2 of
-    each connected graph with n <= 4, over QQ and F_32003, and folding the
-    house's t=2 symbolic square, hashes to the pinned digest: the same
+    each connected graph with n <= 4, over QQ and F_32003, and folding
+    K23_34's t=2 symbolic square, hashes to the pinned digest: the same
     polynomials, the same coefficient values and the same coefficient
-    types.  The house's minimal primes are found before recording and
+    types.  K23_34's minimal primes are found before recording and
     handed to the fold freshly built, so the digest does not depend on how
     minimal_primes finds them."""
-    primes = [prime_component(HOUSE, pc.U) for pc in minimal_primes(HOUSE)]
+    primes = [prime_component(K23_34, pc.U) for pc in minimal_primes(K23_34)]
     monkeypatch.setattr(decomp, "minimal_primes", lambda *args, **kwargs: primes)
     recorded = _record_buchberger(monkeypatch)
     # the first labelled graph of each class, as when the digest was
@@ -375,18 +376,18 @@ def test_kernel_output_digest(monkeypatch):
             J = binomial_edge_ideal(G, field)
             J.groebner()
             J.power(2).groebner()
-    symbolic_power(HOUSE, 2).groebner()
+    symbolic_power(K23_34, 2).groebner()
     assert recorded() == _KERNEL_DIGEST
 
 
 def test_prime_component_digest(monkeypatch):
-    """The reduced bases of a freshly built prime_component(house, U), for
+    """The reduced bases of a freshly built prime_component(K23_34, U), for
     every U by size and then lexicographically, hash to the pinned digest,
     one kernel.buchberger call each."""
     recorded = _record_buchberger(monkeypatch)
-    for r in range(HOUSE.n + 1):
-        for U in combinations(sorted(HOUSE.vertices), r):
-            prime_component(HOUSE, U).ideal.groebner()
+    for r in range(K23_34.n + 1):
+        for U in combinations(sorted(K23_34.vertices), r):
+            prime_component(K23_34, U).ideal.groebner()
     assert recorded() == _PRIME_DIGEST
 
 
@@ -440,7 +441,7 @@ def _fold_system(G, t):
 
 
 def test_eliminated_basis_is_the_kernels(monkeypatch):
-    """On every elimination step of the house's and the net's t=2
+    """On every elimination step of K23_34's and the net's t=2
     symbolic-power folds, the basis Ideal.eliminate hands on, reducers and
     nvars included, equals kernel.buchberger recomputed on its polynomials
     in the smaller ring, and the result's groebner() runs no Buchberger."""
@@ -453,8 +454,7 @@ def test_eliminated_basis_is_the_kernels(monkeypatch):
         return out
 
     monkeypatch.setattr(Ideal, "eliminate", record)
-    house = Graph.from_edges(5, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
-    for G in (house, net_graph()):
+    for G in (K23_34, net_graph()):
         symbolic_power(G, 2)
     assert len(steps) == 2 + 6
     monkeypatch.undo()

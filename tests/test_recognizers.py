@@ -18,8 +18,6 @@ from bel.recognizers import (
     _closed_triple,
     _search_labeling,
     _weakly_closed_triple,
-    caterpillar_labeling,
-    central_path,
     find_closed_labeling,
     find_weakly_closed_labeling,
     gencat_labeling,
@@ -51,7 +49,6 @@ def spider_222() -> Graph:
 
 def test_labeling_basics():
     lab = Labeling.from_order([2, 1, 3])
-    assert lab.label_of(2) == 1 and lab.label_of(1) == 2
     assert lab.as_dict() == {1: 2, 2: 1, 3: 3}
     with pytest.raises(ValueError):
         Labeling((1, 1, 2))
@@ -64,30 +61,30 @@ def test_tree_and_caterpillar():
     assert not is_tree(Graph.cycle(4))
     assert is_tree(spider_222()) and not is_caterpillar(spider_222())
     with pytest.raises(ValueError):
-        central_path(spider_222())
+        gencat_labeling(spider_222())
 
 
-def test_central_path_against_oracle():
-    """Every labelled caterpillar with n <= 6."""
+def test_caterpillar_witness_path_against_oracle():
+    """On every labelled caterpillar tree with n <= 6, the
+    generalized-caterpillar witness path is the least longest path."""
     count = 0
     for n in range(1, 7):
         for G in corpus.all_graphs(n):
             if len(G.edges) == n - 1 and is_caterpillar(G):
-                assert central_path(G) == oracle_central_path(G), sorted(G.edges)
+                assert is_generalized_caterpillar(G).path == oracle_central_path(G), sorted(G.edges)
                 count += 1
     assert count == 1442
 
 
-def test_caterpillar_labeling_frozen():
+def test_caterpillar_gencat_labeling():
+    """A frozen example, and a weakly closed labeling for every caterpillar
+    class with n <= 6."""
     G = add_whisker(Graph.path(3), 2)  # path 1-2-3 with whisker 4 on 2
-    lab = caterpillar_labeling(G)
+    lab = gencat_labeling(G)
     assert lab.as_dict() == {1: 1, 2: 2, 4: 3, 3: 4}
-    assert is_closed_with_labeling(G, lab) or is_weakly_closed_with_labeling(G, lab)
-
-
-def test_caterpillar_labelings_are_weakly_closed():
+    assert is_weakly_closed_with_labeling(G, lab)
     for G in corpus.caterpillars_upto(6):
-        assert is_weakly_closed_with_labeling(G, caterpillar_labeling(G))
+        assert is_weakly_closed_with_labeling(G, gencat_labeling(G)), sorted(G.edges)
 
 
 def test_closed_examples():
@@ -95,7 +92,7 @@ def test_closed_examples():
     assert is_closed(Graph.complete(4))
     assert not is_closed(Graph.star(3))  # trees are closed only when paths
     assert not is_closed(Graph.cycle(4))
-    assert is_closed_with_labeling(Graph.path(3), Labeling.identity(3))
+    assert is_closed_with_labeling(Graph.path(3), Labeling((1, 2, 3)))
     assert not is_closed_with_labeling(
         Graph.path(3), Labeling.from_order([1, 3, 2])
     )
