@@ -39,7 +39,6 @@ from .recognizers import (
     find_weakly_closed_labeling,
     gencat_labeling,
     is_caterpillar,
-    is_closed,
     is_comparability,
     is_generalized_caterpillar,
     is_net_free,
@@ -88,7 +87,6 @@ __all__ = [
     "initial_ideal",
     "intersect_all",
     "is_caterpillar",
-    "is_closed",
     "is_comparability",
     "is_generalized_caterpillar",
     "is_net_free",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .graphs import Graph, add_whisker, clique_join, is_connected, net_graph
+from .graphs import Graph, add_whisker, clique_join, is_connected
 from .recognizers import is_caterpillar
 
 
@@ -117,9 +117,9 @@ def transversal(graphs) -> list:
     return out
 
 
-def random_connected_graphs(n: int, count: int, seed: int = 20240601) -> list:
-    """Fixed-seed connected samples, pairwise non-isomorphic."""
-    rng = random.Random(seed)
+def random_connected_graphs(n: int, count: int) -> list:
+    """Connected samples from one fixed seed, pairwise non-isomorphic."""
+    rng = random.Random(20240601)
     pairs = list(combinations(range(1, n + 1), 2))
     seen = set()
     out = []
@@ -179,8 +179,3 @@ def gencat_corpus() -> list:
     ]
     assert all(G.n <= 6 for G in out)
     return out
-
-
-def net_family() -> list:
-    """Generalized caterpillars that are not net-free (currently the net)."""
-    return [net_graph()]

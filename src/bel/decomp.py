@@ -35,7 +35,7 @@ prime fields keep the Groebner route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, combinations
 
 from .bei import binomial_edge_ideal, edge_binomial, graph_ring
@@ -53,11 +53,13 @@ MINIMAL_PRIMES_CAP = 8
 class PrimeComponent:
     """A vertex subset U with the prime it generates: the variables of U
     plus the edge binomials of the complete closures of the components of
-    the induced graph on the rest."""
+    the induced graph on the rest.  It compares and hashes by U and the
+    components alone, which determine the ideal in a given ring, so
+    neither runs Buchberger."""
 
     U: frozenset
     components: tuple  # vertex sets of the induced components, as frozensets
-    ideal: Ideal
+    ideal: Ideal = dataclass_field(compare=False)
 
     @property
     def c(self) -> int:

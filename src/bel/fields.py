@@ -5,6 +5,11 @@ only need +, -, *, /, unary -, == and truthiness (zero is falsy); the
 Groebner kernel relies on nothing else, except that it recognizes a
 ``Fraction`` with denominator 1 by its type and computes on its ``int``
 numerator, returning a ``Fraction`` again (see bel.kernel).
+
+Each field's ``element`` is the one door for a coefficient: an ``int``
+is converted by ``from_int``, an element of that field passes as it is,
+and anything else (a float, a str, another field's element) raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -23,13 +28,16 @@ class RationalField:
     def from_int(self, k):
         return Fraction(k)
 
+    def element(self, c):
+        if isinstance(c, int):
+            return self.from_int(c)
+        if isinstance(c, Fraction):
+            return c
+        raise TypeError(f"{type(c).__name__} {c!r} is not an element of QQ")
+
     @property
     def one(self):
         return Fraction(1)
-
-    @property
-    def zero(self):
-        return Fraction(0)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -126,6 +134,13 @@ class PrimeField:
     def from_int(self, k):
         return FpElement(k, self.p)
 
+    def element(self, c):
+        if isinstance(c, int):
+            return self.from_int(c)
+        if isinstance(c, FpElement) and c.p == self.p:
+            return c
+        raise TypeError(f"{type(c).__name__} {c!r} is not an element of {self.name}")
+
     def from_rational(self, q):
         """Image of an exact rational; the denominator must be a unit mod p."""
         num, den = int(q.numerator), int(q.denominator)
@@ -136,10 +151,6 @@ class PrimeField:
     @property
     def one(self):
         return FpElement(1, self.p)
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

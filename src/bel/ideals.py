@@ -1,8 +1,11 @@
-"""Ideal-level algebra: membership, canonical equality, sum, power, and
+"""Ideal-level algebra: membership, canonical equality, power, and
 intersection by eliminating one fresh leading variable.
 
-Equality and membership always go through the cached reduced Groebner
-basis, which is canonical for the ideal under the ring's lex order.
+``equal`` and ``contains`` (also spelled ``f in I``) are the comparisons;
+an ``Ideal`` defines no ``==`` or hash, so ``I == J`` is identity.  Both
+go through the cached reduced Groebner basis, which is canonical for the
+ideal under the ring's lex order.  A sum of ideals is the ideal of the
+joined generators, ``Ideal(R, I.gens + J.gens)``.
 """
 
 from __future__ import annotations
@@ -57,21 +60,6 @@ class Ideal:
         if self.ring != other.ring:
             raise ValueError("ideals from different rings")
         return self.groebner() == other.groebner()
-
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.equal(other)
-
-    def __hash__(self):
-        return hash((self.ring, self.groebner()))
-
-    def sum(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise ValueError("ideals from different rings")
-        return Ideal(self.ring, self.gens + other.gens)
-
-    __add__ = sum
 
     def power(self, t: int) -> "Ideal":
         """t-fold product; generators deduplicated and interreduced."""

@@ -193,10 +193,6 @@ def _is_chordal(G: Graph) -> bool:
     return True
 
 
-def is_closed(G: Graph) -> bool:
-    return find_closed_labeling(G) is not None
-
-
 def find_weakly_closed_labeling(G: Graph):
     """A weakly closed labeling of G, searched for only if is_weakly_closed(G)."""
     if G.n > LABELING_SEARCH_CAP:

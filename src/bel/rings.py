@@ -7,6 +7,14 @@ tuples over the roster and plain tuple comparison realizes the
 lexicographic order x_1 > ... > x_n > y_1 > ... > y_n.  Lex is also an
 elimination order for every leading block of the roster, so putting
 fresh variables in front is all an elimination ring needs.
+
+Coefficients enter a ring only through ``RingContext.constant`` and
+``RingContext.from_terms``, which pass each one through the field's
+``element``: an ``int`` is converted, an element of the field passes as
+it is, and anything else raises ``TypeError``.  Polynomial arithmetic
+(``+``, ``-``, ``*``) takes only a polynomial of the same ring, so a
+float or an element of another field never reaches a basis; ``3 * f``
+is written ``R.constant(3) * f``.
 """
 
 from __future__ import annotations
@@ -43,16 +51,13 @@ class RingContext:
     def nvars(self) -> int:
         return len(self.names)
 
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
-
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def constant(self, k) -> "Polynomial":
-        c = self.field.from_int(k) if isinstance(k, int) else k
+        c = self.field.element(k)
         if not c:
-            return self.zero()
+            return Polynomial(self, ())
         return Polynomial(self, (((0,) * self.nvars, c),))
 
     def var(self, i: int) -> "Polynomial":
@@ -79,6 +84,7 @@ class RingContext:
     def from_terms(self, terms) -> "Polynomial":
         acc = {}
         for m, c in terms:
+            c = self.field.element(c)
             m = tuple(m)
             if len(m) != self.nvars:
                 raise ValueError("exponent vector length does not match roster")
@@ -113,36 +119,25 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_term(self):
-        """(coefficient, monomial) of the maximal term; rejects zero."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        m, c = self.terms[0]
-        return c, m
-
     def leading_monomial(self) -> Monomial:
-        return self.leading_term()[1]
+        """The maximal monomial; rejects zero."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading monomial")
+        return self.terms[0][0]
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
         return max(sum(m) for m, _ in self.terms)
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        return Polynomial(self.ring, tuple((m, c / lc) for m, c in self.terms))
-
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise ValueError("polynomials from different rings")
-            return other
-        try:
-            return self.ring.constant(other)
-        except (TypeError, ValueError):
+        """other itself if it is a polynomial of this ring; NotImplemented
+        (so Python raises TypeError) for anything that is not a polynomial."""
+        if not isinstance(other, Polynomial):
             return NotImplemented
+        if other.ring != self.ring:
+            raise ValueError("polynomials from different rings")
+        return other
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -155,8 +150,6 @@ class Polynomial:
             self.ring, tuple(sorted(((m, c) for m, c in acc.items() if c), reverse=True))
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
 
@@ -165,9 +158,6 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -183,20 +173,7 @@ class Polynomial:
             self.ring, tuple(sorted(((m, c) for m, c in acc.items() if c), reverse=True))
         )
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined")
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+    __rmul__ = __mul__  # refuses every non-polynomial too; perfbench's tracer wraps the alias
 
     def __eq__(self, other):
         return (

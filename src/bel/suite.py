@@ -87,12 +87,12 @@ def _labeled_connected_upto5() -> list:
     return out
 
 
-def criterion_gb_combinatorial(n6_samples: int = 25) -> CriterionResult:
+def criterion_gb_combinatorial() -> CriterionResult:
     """Combinatorial reduced basis == Buchberger output, termwise."""
 
     def run():
         graphs = _labeled_connected_upto5()
-        graphs += corpus.random_connected_graphs(6, n6_samples)
+        graphs += corpus.random_connected_graphs(6, 25)
         bad = 0
         for G in graphs:
             if list(groebner_combinatorial(G)) != list(binomial_edge_ideal(G).groebner()):
@@ -233,7 +233,7 @@ def criterion_weakly_closed_comparability() -> CriterionResult:
         bad = sum((_search_labeling(G, _weakly_closed_triple) is not None)
                   != is_comparability(complement(G)) for G in atlas)
         corpus_bad = 0
-        for G in corpus.gencat_corpus() + corpus.net_family():
+        for G in corpus.gencat_corpus() + [net_graph()]:
             if is_net_free(G) != is_weakly_closed(G):
                 corpus_bad += 1
         net_ok = not is_comparability(complement(net_graph()))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from bel.bei import initial_ideal
 from bel.complexes import (
@@ -10,7 +11,7 @@ from bel.complexes import (
     equality_criterion_via_cycles,
     find_special_odd_cycle,
 )
-from bel.decomp import groebner_verdict
+from bel.decomp import groebner_verdict, minimal_primes
 from bel.graphs import Graph, net_graph
 from bel.recognizers import gencat_labeling, is_generalized_caterpillar, is_net_free
 from conftest import (
@@ -132,12 +133,32 @@ def test_generalized_caterpillars_with_a_net_are_unequal(classes_upto_7):
     net-free, the net and four classes with n = 7, has J_G^2 != J_G^(2)
     by the Groebner verdict.  With test_generalized_caterpillars_upto_7,
     a generalized caterpillar with n <= 7 is equal at t=2 iff it is
-    net-free."""
+    net-free.
+
+    At t=3 the unequal side goes by heredity: each of the five contains
+    an induced net (found by networkx, independently of is_net_free), and
+    the net's cube witness f lies in P^3 for each of its minimal primes P.
+    Heredity, sketched: if H is an induced subgraph of G and f witnesses
+    J_H^t != J_H^(t), then J_G^t != J_G^(t).  The retraction sending x_v
+    and y_v to 0 for v outside H maps J_G^t onto J_H^t and fixes f, so f
+    is not in J_G^t.  For every U, P_{U cap V(H)}(H) lies in P_U(G),
+    because a path in H - U avoids U; some minimal prime P_T(H) lies in
+    P_{U cap V(H)}(H), and f is in P_T(H)^t, so f is in P_U(G)^t for
+    every U, hence in J_G^(t)."""
     with_net = [G for G in classes_upto_7
                 if is_generalized_caterpillar(G) is not None and not is_net_free(G)]
     assert sorted(G.n for G in with_net) == [6, 7, 7, 7, 7]
+    net = net_graph()
     for G in with_net:
+        assert GraphMatcher(G.to_networkx(), net.to_networkx()).subgraph_is_isomorphic(), \
+            sorted(G.edges)
         assert not groebner_verdict(G, 2).equal, sorted(G.edges)
+    cube = groebner_verdict(net, 3)
+    assert not cube.equal
+    primes = minimal_primes(net)
+    assert len(primes) == 7
+    for pc in primes:
+        assert pc.ideal.power(3).contains(cube.witness), sorted(pc.U)
 
 
 def test_validate_rejects_bad_cycles():

@@ -123,8 +123,3 @@ def test_gencat_corpus_properties():
     assert len(keys) == len(gc)  # pairwise non-isomorphic
     assert all(is_net_free(G) for G in gc)
     assert all(G.n <= 6 for G in gc)
-
-
-def test_net_family():
-    (net,) = corpus.net_family()
-    assert not is_net_free(net)

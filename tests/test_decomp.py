@@ -36,6 +36,21 @@ def test_prime_component_shape():
     assert len(pc.ideal.gens) == 2
 
 
+def test_prime_component_compares_without_buchberger(monkeypatch):
+    """A prime component compares and hashes by U and its components;
+    neither runs kernel.buchberger."""
+    G = net_graph()
+    pc = prime_component(G, {1, 2})
+    calls = []
+    real = kernel.buchberger
+    monkeypatch.setattr(kernel, "buchberger", lambda *args: calls.append(1) or real(*args))
+    assert hash(pc) == hash(prime_component(G, {1, 2}))
+    assert pc == prime_component(G, {1, 2})
+    assert pc != prime_component(G, {1, 3})
+    assert len({pc, prime_component(G, {2, 1})}) == 1
+    assert calls == []
+
+
 def test_minimal_primes_frozen():
     assert U_sets(minimal_primes(Graph.path(3))) == [[], [2]]
     assert U_sets(minimal_primes(Graph.star(3))) == [[], [1]]

@@ -10,9 +10,9 @@ def test_rational_arithmetic():
     b = QQ.from_int(5) / QQ.from_int(6)
     assert a + b == QQ.from_int(3) / QQ.from_int(2)
     assert a * b == QQ.from_int(5) / QQ.from_int(9)
-    assert not QQ.zero
+    assert not QQ.from_int(0)
     assert QQ.one
-    assert -a + a == QQ.zero
+    assert -a + a == QQ.from_int(0)
 
 
 def test_prime_field_arithmetic():
@@ -22,8 +22,8 @@ def test_prime_field_arithmetic():
     assert a * b == F.from_int(1)
     assert a / b == a * F.from_int(3)  # 5^-1 = 3 mod 7
     assert -a == F.from_int(4)
-    assert not F.zero
-    assert F.from_int(7) == F.zero
+    assert not F.from_int(0)
+    assert F.from_int(7) == F.from_int(0)
 
 
 def test_prime_field_from_rational():

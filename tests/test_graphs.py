@@ -46,7 +46,7 @@ def test_validation():
 
 def test_basic_queries():
     G = Graph.from_edges(4, [(1, 2), (2, 3)])
-    assert G.neighbors(2) == {1, 3}
+    assert G.adj[2] == {1, 3}
     assert G.degree(2) == 2 and G.degree(4) == 0
     assert G.has_edge(2, 1) and not G.has_edge(1, 3)
 
@@ -54,7 +54,7 @@ def test_basic_queries():
 def test_adjacency_is_frozen_and_outside_equality():
     G = Graph.from_edges(4, [(1, 2), (2, 3)])
     with pytest.raises(AttributeError):
-        G.neighbors(2).add(4)
+        G.adj[2].add(4)
     assert G.adj == {1: {2}, 2: {1, 3}, 3: {2}, 4: set()}
     fresh = Graph(4, G.edges)
     assert "adj" not in vars(fresh)
@@ -121,7 +121,7 @@ def test_constructions():
     paw = add_whisker(Graph.complete(3), 1)
     assert paw.n == 4 and paw.has_edge(1, 4)
     bull = clique_join(Graph.path(4), (2, 3), 3)
-    assert bull.n == 5 and bull.neighbors(5) == {2, 3}
+    assert bull.n == 5 and bull.adj[5] == {2, 3}
     with pytest.raises(ValueError):
         clique_join(Graph.path(3), (1, 3), 3)
     assert complement(complement(bull)) == bull

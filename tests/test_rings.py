@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,9 @@ def test_variable_order_is_roster_order(R):
     # x1 > x2 > x3 > y1 > y2 > y3 under the lex order
     assert R.names == ("x1", "x2", "x3", "y1", "y2", "y3")
     x1, y3 = R.x(1), R.y(3)
-    assert (x1 + y3).leading_term()[1] == x1.leading_monomial()
+    assert (x1 + y3).leading_monomial() == x1.leading_monomial()
+    with pytest.raises(ValueError, match="no leading monomial"):
+        R.from_terms([]).leading_monomial()
 
 
 def test_polynomial_arithmetic(R):
@@ -31,27 +35,12 @@ def test_polynomial_arithmetic(R):
     assert (f * g).total_degree() == 4
 
 
-def test_power(R):
-    f = R.x(1) + R.y(1)
-    assert f ** 1 == f
-    assert f ** 2 == f * f
-    assert f ** 5 == f * f * f * f * f
-    assert f ** 0 == R.one()
-
-
-def test_monic(R):
-    f = (R.x(1) + R.x(2)) * R.constant(QQ.from_int(4))
-    m = f.monic()
-    assert m.leading_term()[0] == QQ.one
-    assert m * R.constant(QQ.from_int(4)) == f
-
-
 def test_rendering(R):
     f = R.x(1) * R.y(2) - R.x(2) * R.y(1)
     assert str(f) == "x1*y2 - x2*y1"
     assert str(R.from_terms([])) == "0"
     assert str(R.one()) == "1"
-    assert str(R.x(2) ** 3) == "x2^3"
+    assert str(R.x(2) * R.x(2) * R.x(2)) == "x2^3"
 
 
 def test_from_terms_canonicalizes(R):
@@ -61,7 +50,7 @@ def test_from_terms_canonicalizes(R):
     f = R.from_terms([(m2, one), (m1, one), (m1, -one)])
     assert f == R.from_terms([(m2, one)])
     # zero coefficients are dropped entirely
-    assert R.from_terms([(m1, QQ.zero)]).is_zero
+    assert R.from_terms([(m1, QQ.from_int(0))]).is_zero
 
 
 def test_from_terms_rejects_malformed_monomials(R):
@@ -88,6 +77,44 @@ def test_graph_variables_by_position():
             R.x(0)
         with pytest.raises(ValueError):
             R.y(n + 1)
+
+
+def test_coefficients_enter_only_through_the_field(R):
+    """Arithmetic takes only polynomials of the ring, and constant and
+    from_terms take an int or an element of the ring's field."""
+    m = (1, 0, 0, 0, 0, 0)
+    R7 = RingContext.for_graph(2, PrimeField(7))
+    refused = (
+        lambda: R.x(1) * 0.1,
+        lambda: 0.5 * R.x(1),
+        lambda: R.x(1) + "a",
+        lambda: R.x(1) - 1,
+        lambda: 1 - R.x(1),
+        lambda: 1 + R.x(1),
+        lambda: R.x(1) ** 2,
+        lambda: R.constant(0.5),
+        lambda: R.from_terms([(m, 0.5)]),
+        lambda: R.from_terms([(m, "a")]),
+        lambda: R7.constant(Fraction(3)),
+        lambda: R7.constant(PrimeField(5).from_int(3)),
+        lambda: R7.from_terms([((1, 0, 0, 0), Fraction(3))]),
+    )
+    for build in refused:
+        with pytest.raises(TypeError):
+            build()
+    unit = (0,) * R.nvars
+    for c in (3, QQ.from_int(3)):
+        (term,) = R.constant(c).terms
+        assert term == (unit, Fraction(3)) and type(term[1]) is Fraction
+    assert R.constant(0).is_zero
+    f = R.from_terms([(m, QQ.from_int(3)), (unit, QQ.one)])
+    assert f.terms == ((m, Fraction(3)), (unit, Fraction(1)))
+    assert R.from_terms([(m, 3)]) == R.from_terms([(m, QQ.from_int(3))])
+    F = R7.field
+    for c in (10, F.from_int(3)):
+        (term,) = R7.constant(c).terms
+        assert term == ((0, 0, 0, 0), F.from_int(3)) and term[1].p == 7
+    assert R7.from_terms([((1, 0, 0, 0), F.from_int(2))]).terms == (((1, 0, 0, 0), F.from_int(2)),)
 
 
 def test_prime_field_ring():
