@@ -35,7 +35,7 @@ prime fields keep the Groebner route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .bei import binomial_edge_ideal, edge_binomial, graph_ring
@@ -53,13 +53,22 @@ MINIMAL_PRIMES_CAP = 8
 class PrimeComponent:
     """A vertex subset U with the prime it generates: the variables of U
     plus the edge binomials of the complete closures of the components of
-    the induced graph on the rest.  It compares and hashes by U and the
-    components alone, which determine the ideal in a given ring, so
-    neither runs Buchberger."""
+    the induced graph on the rest.  It compares and hashes by U, the
+    components and the ideal's ring (its names and field), which together
+    determine the ideal, so neither runs Buchberger."""
 
     U: frozenset
     components: tuple  # vertex sets of the induced components, as frozensets
-    ideal: Ideal = dataclass_field(compare=False)
+    ideal: Ideal
+
+    def _key(self) -> tuple:
+        return self.U, self.components, self.ideal.ring
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeComponent) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def c(self) -> int:

@@ -103,6 +103,30 @@ def generate_gencat_forms(max_n: int) -> set:
     return forms
 
 
+def graph_of_form(form: tuple) -> Graph:
+    """The graph a canonical form ``(n, bits)`` encodes: pair {a, b} is an
+    edge when bit i is set, {a, b} the i-th pair of combinations(1..n, 2)."""
+    n, bits = form
+    return Graph.from_edges(n, (p for i, p in enumerate(combinations(range(1, n + 1), 2))
+                                if bits >> i & 1))
+
+
+def check_lifted_witness(G: Graph, f, g, t: int):
+    """Assert that the product f*g witnesses J_G^t != J_G^(t): its normal
+    form against the reduced basis of J_G^t is not zero, and it lies in
+    P^t for every minimal prime P of J_G, which is membership in
+    J_G^(t), the intersection of those P^t.  Lifting a witness f of a
+    lower power by a product g of generators of J_G costs J_G^t's basis
+    and the prime powers, with no intersection fold."""
+    from bel.bei import binomial_edge_ideal
+    from bel.decomp import minimal_primes
+
+    fg = f * g
+    assert not binomial_edge_ideal(G).power(t).normal_form(fg).is_zero
+    for pc in minimal_primes(G):
+        assert pc.ideal.power(t).contains(fg), sorted(pc.U)
+
+
 def seeded_relabellings(G: Graph, count: int, rng) -> list:
     """count copies of G, each relabelled by a permutation drawn from rng."""
     out = []

@@ -12,9 +12,12 @@ from bel.complexes import (
     find_special_odd_cycle,
 )
 from bel.decomp import groebner_verdict, minimal_primes
+from bel.corpus import canonical_form
 from bel.graphs import Graph, net_graph
 from bel.recognizers import gencat_labeling, is_generalized_caterpillar, is_net_free
 from conftest import (
+    generate_gencat_forms,
+    graph_of_form,
     oracle_first_special_odd_cycle,
     oracle_is_net_free,
     oracle_special_odd_cycles,
@@ -159,6 +162,36 @@ def test_generalized_caterpillars_with_a_net_are_unequal(classes_upto_7):
     assert len(primes) == 7
     for pc in primes:
         assert pc.ideal.power(3).contains(cube.witness), sorted(pc.U)
+
+
+def test_generalized_caterpillars_by_construction_upto_8(classes_upto_7):
+    """Verified for n <= 8 over every generalized caterpillar built forward
+    from the definition (``generate_gencat_forms``), one per isomorphism
+    class.  Each of the 216 net-free ones, relabelled by
+    ``gencat_labeling``, has an initial complex with no special odd cycle,
+    by the library search and by the plain search, so J_G^t = J_G^(t) for
+    every t.  Each of the other 24 contains an induced net, found by
+    networkx, so by heredity (see the test above) it is unequal at every t
+    where the net has a witness.  The 94 with n <= 7 are exactly the
+    generalized caterpillars among the classes with n <= 7."""
+    forms = generate_gencat_forms(8)
+    assert {f for f in forms if f[0] <= 7} == {
+        canonical_form(G) for G in classes_upto_7 if is_generalized_caterpillar(G) is not None}
+    assert len(forms) == 240 and sum(f[0] <= 7 for f in forms) == 94
+    net = net_graph().to_networkx()
+    net_free = 0
+    for form in sorted(forms):
+        G = graph_of_form(form)
+        assert canonical_form(G) == form
+        has_net = GraphMatcher(G.to_networkx(), net).subgraph_is_isomorphic()
+        assert is_net_free(G) == (not has_net), sorted(G.edges)
+        if has_net:
+            continue
+        net_free += 1
+        c = delta_of(initial_ideal(gencat_labeling(G).apply(G)))
+        assert find_special_odd_cycle(c) is None, sorted(G.edges)
+        assert oracle_first_special_odd_cycle(c) is None, sorted(G.edges)
+    assert (net_free, len(forms) - net_free) == (216, 24)
 
 
 def test_validate_rejects_bad_cycles():

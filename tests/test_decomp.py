@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from bel import corpus, decomp, kernel
-from bel.bei import binomial_edge_ideal
+from bel.bei import binomial_edge_ideal, edge_binomial
 from bel.decomp import (
     _inclusion_minimal,
     _lies_inside,
@@ -21,7 +21,7 @@ from bel.graphs import Graph, ass_count_is_two, disjoint_union, is_connected, ne
 from bel.ideals import intersect_all
 from bel.recognizers import is_caterpillar
 
-from conftest import oracle_minimal_primes
+from conftest import check_lifted_witness, oracle_minimal_primes
 
 
 def U_sets(primes):
@@ -37,8 +37,9 @@ def test_prime_component_shape():
 
 
 def test_prime_component_compares_without_buchberger(monkeypatch):
-    """A prime component compares and hashes by U and its components;
-    neither runs kernel.buchberger."""
+    """A prime component compares and hashes by U, its components and its
+    ring, so components over different fields differ; neither comparison
+    nor hash runs kernel.buchberger."""
     G = net_graph()
     pc = prime_component(G, {1, 2})
     calls = []
@@ -48,6 +49,9 @@ def test_prime_component_compares_without_buchberger(monkeypatch):
     assert pc == prime_component(G, {1, 2})
     assert pc != prime_component(G, {1, 3})
     assert len({pc, prime_component(G, {2, 1})}) == 1
+    P3 = Graph.path(3)
+    assert prime_component(P3, {2}) != prime_component(P3, {2}, PrimeField(7))
+    assert len({prime_component(P3, {2}), prime_component(P3, {2}, PrimeField(7))}) == 2
     assert calls == []
 
 
@@ -170,6 +174,15 @@ def test_verdict_unequal_net():
     assert v.witness.total_degree() == 6
     for pc in minimal_primes(net_graph()):
         assert pc.ideal.power(2).contains(v.witness)
+
+
+def test_lifted_net_witness_at_t3():
+    """The net's t=2 witness w times the edge binomial f_12 witnesses
+    J^3 != J^(3): w*f_12 is outside J^3 and inside the cube of each of the
+    net's seven minimal primes, read from those bases with no fold."""
+    net = net_graph()
+    w = groebner_verdict(net, 2).witness
+    check_lifted_witness(net, w, edge_binomial(w.ring, 1, 2), 3)
 
 
 def test_prime_field_verdicts_match():

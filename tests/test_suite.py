@@ -8,14 +8,14 @@ def test_quick_mode_skips_without_running(monkeypatch):
     def slow():
         """a slow criterion"""
         calls.append("slow")
-        return CriterionResult(1, "slow", True, 0.0)
+        return True, ""
 
     def fast():
         """a fast criterion"""
         calls.append("fast")
-        return CriterionResult(2, "fast", True, 0.0)
+        return True, ""
 
-    monkeypatch.setattr(suite, "ALL_CRITERIA", [slow, fast])
+    monkeypatch.setattr(suite, "CRITERIA", (("slow", slow), ("fast", fast)))
     monkeypatch.setattr(suite, "QUICK_SKIP", {1})
     results = suite.run_suite(quick=True)
     assert calls == ["fast"]
@@ -33,28 +33,31 @@ def test_result_json_shape():
                  "seconds": 1.25, "detail": "detail"}
 
 
-def test_timed_catches_exceptions():
+def test_timed_catches_exceptions(monkeypatch):
+    """run_criterion turns a crash into a failure that names its cause."""
     def boom():
         raise RuntimeError("kaput")
 
-    r = suite._timed(9, "explodes", boom)
-    assert not r.passed and "kaput" in r.detail
+    monkeypatch.setattr(suite, "CRITERIA", (("explodes", boom),))
+    r = suite.run_criterion(1)
+    assert (r.cid, r.name, r.passed, r.detail) == (1, "explodes", False, "error: kaput")
 
 
 def test_quick_skip_carries_the_full_run_name(monkeypatch):
-    """A --quick skip carries the id and name that criterion 6 hands to
-    _timed, read without running the net's t=2 verdict."""
-    handed = []
-    monkeypatch.setattr(suite, "_timed", lambda cid, name, fn: handed.append((cid, name)))
-    suite.criterion_net_negative()
+    """A --quick run of the real table calls no check of QUICK_SKIP, so
+    not criterion 6's net t=2 verdict, and its skipped entry carries the
+    id and name that a full run of that row reports."""
+    assert suite.QUICK_SKIP == {6} and suite.CRITERIA[5][1] is suite._net_negative
+    called = []
 
-    def stub():
-        return CriterionResult(0, "stub", True, 0.0)
+    def stub_for(cid):
+        return lambda: called.append(cid) or (True, "")
 
-    monkeypatch.setattr(suite, "ALL_CRITERIA",
-                        [fn if fn is suite.criterion_net_negative else stub
-                         for fn in suite.ALL_CRITERIA])
+    monkeypatch.setattr(suite, "CRITERIA", tuple(
+        (name, stub_for(cid)) for cid, (name, _) in enumerate(suite.CRITERIA, start=1)))
     quick = suite.run_suite(quick=True)
-    assert quick[5].skipped
-    assert handed == [(6, quick[5].name)]
-    assert quick[5].name == "net graph: powers differ at t=2 with verified witness"
+    assert called == [1, 2, 3, 4, 5, 7, 8, 9]
+    assert [r.skipped for r in quick] == [cid == 6 for cid in range(1, 10)]
+    full = suite.run_criterion(6)
+    assert (quick[5].cid, quick[5].name) == (full.cid, full.name) == (
+        6, "net graph: powers differ at t=2 with verified witness")
