@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 import bel
 from bel import cli, corpus
 from bel.bei import gb_max_degree
+from bel.decomp import minimal_primes
 from bel.fields import QQ, RATIONAL_BACKEND
 from bel.graphs import Graph, clique_join, complement, net_graph, to_text
 from bel.recognizers import is_comparability
@@ -210,6 +212,102 @@ def test_size_cap_exit_3(runner, graph_file):
     assert res.exit_code == 3
 
 
+def _json(command, results, graph, field=None):
+    """A pinned ``--json`` report, keys in order, its ``seconds`` read as 0."""
+    report = {"command": command, "kernel": "python", "rational": "fractions",
+              "results": results, "seconds": 0, "graph": graph}
+    if field is not None:
+        report["field"] = field
+    return json.dumps(report, indent=2) + "\n"
+
+
+_P3 = {"n": 3, "edges": [[1, 2], [2, 3]]}
+_NET = {"n": 6, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 5], [3, 6]]}
+_NET_WITNESS = ("x1*x4*x5*y2*y3*y6 - x1*x4*x6*y2*y3*y5 - x2*x4*x5*y1*y3*y6"
+                " + x2*x5*x6*y1*y3*y4 + x3*x4*x6*y1*y2*y5 - x3*x5*x6*y1*y2*y4")
+_NET_FACETS = [["x1", "y2"], ["x1", "y3"], ["x1", "y4"], ["x2", "y1", "y4"], ["x2", "y3"],
+               ["x2", "y5"], ["x3", "y1", "y4"], ["x3", "y2", "y5"], ["x3", "y6"],
+               ["x4", "y1", "y2", "y5"], ["x4", "y1", "y3", "y6"], ["x5", "y2", "y3", "y6"]]
+_NET_CYCLE = {"vertices": ["x1", "y2", "x3", "y1", "y3"],
+              "facets": [["x1", "y2"], ["x3", "y2", "y5"], ["x3", "y1", "y4"],
+                         ["x4", "y1", "y3", "y6"], ["x1", "y3"]]}
+_CAP_8 = "error: minimal-prime enumeration capped at n=8 (2^n subsets)\n"
+
+# (arguments before GRAPH_FILE, graph, exit code, stdout with seconds read as 0, stderr)
+REPORTS_PINNED = [
+    (["classify"], Graph.path(3), 0, "\n".join([
+        "tree: True", "caterpillar: True", "generalized_caterpillar: True", "net_free: True",
+        "closed: True", "closed_labeling: {1: 1, 2: 2, 3: 3}", "weakly_closed: True",
+        "weakly_closed_labeling: {1: 1, 2: 2, 3: 3}", "comparability: True",
+        "complement_comparability: True", ""]), ""),
+    (["classify", "--json"], Graph.path(3), 0, _json("classify", {
+        "tree": True, "caterpillar": True, "generalized_caterpillar": True, "net_free": True,
+        "closed": True, "closed_labeling": {"1": 1, "2": 2, "3": 3}, "weakly_closed": True,
+        "weakly_closed_labeling": {"1": 1, "2": 2, "3": 3}, "comparability": True,
+        "complement_comparability": True}, _P3), ""),
+    (["gb", "--check-buchberger"], Graph.star(3), 0, "\n".join([
+        "basis (6 elements, max degree 3):", "  x1*y2 - x2*y1", "  x1*y3 - x3*y1",
+        "  x1*y4 - x4*y1", "  x2*y1*y3 - x3*y1*y2", "  x2*y1*y4 - x4*y1*y2",
+        "  x3*y1*y4 - x4*y1*y3", "buchberger_agrees: True", ""]), ""),
+    (["gb", "--field", "fp:7", "--json"], Graph.path(3), 0, _json("gb", {
+        "basis": ["x1*y2 + 6*x2*y1", "x2*y3 + 6*x3*y2"], "size": 2, "max_degree": 2},
+        _P3, "Fp(7)"), ""),
+    (["primes"], Graph.star(3), 0,
+     "2 minimal primes:\n  U=[] components=[[1, 2, 3, 4]]\n"
+     "  U=[1] components=[[2], [3], [4]]\n", ""),
+    (["primes", "--json"], Graph.path(3), 0, _json("primes", {"count": 2, "components": [
+        {"U": [], "induced_components": [[1, 2, 3]]},
+        {"U": [2], "induced_components": [[1], [3]]}]}, _P3, "QQ"), ""),
+    (["complex", "--special-odd-cycles"], net_graph(), 0, "\n".join(
+        ["12 facets:"] + [f"  {f}" for f in _NET_FACETS]
+        + [f"special odd cycle: {_NET_CYCLE}", ""]), ""),
+    (["complex", "--special-odd-cycles", "--json"], net_graph(), 0, _json("complex", {
+        "facets": _NET_FACETS, "special_odd_cycle": _NET_CYCLE}, _NET), ""),
+    (["powers"], Graph.path(3), 0,
+     "t=2: ordinary == symbolic: True\ncertificate: ass_two\n", ""),
+    (["powers"], net_graph(), 1, "t=2: ordinary == symbolic: False\n"
+     f"witness (symbolic, not ordinary): {_NET_WITNESS}\ncertificate: groebner\n", ""),
+    (["powers", "--json"], net_graph(), 1, _json("powers", {
+        "t": 2, "equal": False, "witness": _NET_WITNESS, "certificate": "groebner"},
+        _NET, "QQ"), ""),
+    (["powers"], None, 2, "", "error: line 1: expected 'u v', got 'definitely not a graph'\n"),
+    (["gb", "--field", "gf:9"], Graph.path(3), 2, "",
+     "error: unknown field spec 'gf:9' (expected 'q' or 'fp:<p>')\n"),
+    (["powers", "--t", "0"], Graph.path(3), 2, "", "error: --t must be >= 1\n"),
+    (["powers"], Graph.path(9), 3, "", _CAP_8),
+    (["primes", "--json"], Graph.path(9), 3, "", _CAP_8),
+]
+
+
+def test_reports_pinned(runner, graph_file, tmp_path):
+    """Exact stdout (a ``--json`` report with its ``seconds`` read as 0),
+    stderr and exit code of every command, on answers and on each error
+    path; graph None stands for a malformed file."""
+    bad = tmp_path / "bad.graph"
+    bad.write_text("definitely not a graph\n")
+    for args, G, code, stdout, stderr in REPORTS_PINNED:
+        res = runner.invoke(cli.main, [*args, str(bad) if G is None else graph_file(G)])
+        out, timed = re.subn(r'(?<=\n  "seconds": )[0-9.]+(?=,\n)', "0", res.stdout)
+        assert timed == (code < 2 and "--json" in args), args
+        assert (res.exit_code, out, res.stderr) == (code, stdout, stderr), args
+
+
+def test_max_n(runner, graph_file):
+    """``--max-n`` moves the 2^n cap of ``primes`` and ``powers``: below
+    the graph's n it exits 3, at it both commands answer."""
+    res = runner.invoke(cli.main, ["primes", "--max-n", "3", graph_file(Graph.path(4))])
+    assert res.exit_code == 3
+    assert res.stderr == "error: minimal-prime enumeration capped at n=3 (2^n subsets)\n"
+    P9 = graph_file(Graph.path(9))
+    res = runner.invoke(cli.main, ["primes", "--max-n", "9", "--json", P9])
+    assert res.exit_code == 0
+    count = len(minimal_primes(Graph.path(9), cap=9, method="cutpoint"))
+    assert json.loads(res.stdout)["results"]["count"] == count == 34
+    res = runner.invoke(cli.main, ["powers", "--max-n", "9", "--json", P9])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["results"]["certificate"] == "caterpillar"
+
+
 def test_suite_command_exit_codes(runner, monkeypatch):
     def fake_suite(quick=False):
         return [CriterionResult(1, "stub", True, 0.1, "ok")]
@@ -233,7 +331,8 @@ def test_runs_without_networkx(graph_file):
     """networkx is a dev dependency only: importing bel does not load it,
     and with every import of it made to fail (a None entry in
     sys.modules), the CLI, the generalized-caterpillar recognizer and
-    suite criterion 8 still run."""
+    suite criterion 8 still run. Every graph command answers; ``powers``
+    exits 1, the net's powers being unequal."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import bel, bel.cli
@@ -242,13 +341,13 @@ def test_runs_without_networkx(graph_file):
         from bel import suite
         from bel.graphs import net_graph
         from bel.recognizers import is_generalized_caterpillar
-        for command in ("classify", "gb"):
+        for command in ("classify", "gb", "primes", "powers", "complex"):
             out = io.StringIO()
             try:
                 with contextlib.redirect_stdout(out):
                     bel.cli.main([command, "--json", sys.argv[1]])
             except SystemExit as exc:
-                assert exc.code == 0, (command, exc.code)
+                assert exc.code == (1 if command == "powers" else 0), (command, exc.code)
             assert json.loads(out.getvalue())["command"] == command
         w = is_generalized_caterpillar(net_graph())
         assert w is not None and w.replay() == net_graph()
