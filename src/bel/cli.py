@@ -7,7 +7,8 @@ the ``--field`` a command takes, times the command, writes the report
 (keys command, kernel, rational, results, seconds, graph, field) or the
 text lines, and decides the exit code: 0 success, 1 verification failure
 (``ok`` false: an equality or criterion check came back negative), 2 usage
-or input-parse error (``error: <exc>`` on stderr), 3 size cap exceeded
+error, or a GRAPH_FILE or ``--field`` that cannot be read or parsed
+(``error: <reason>`` on stderr), 3 size cap exceeded
 (``SizeLimitError``).
 """
 
@@ -75,7 +76,9 @@ def _command(name: str, graph: bool = True):
                     inputs["G"] = from_file(graph_file)
                 if field_spec is not None:
                     inputs["field"] = field_from_spec(field_spec)
-            except (OSError, ValueError) as exc:  # GraphParseError is a ValueError
+            except OSError as exc:  # a GRAPH_FILE that is missing, a directory or unreadable
+                _fail(f"cannot read {exc.filename}: {exc.strerror}", EXIT_USAGE)
+            except ValueError as exc:  # GraphParseError is a ValueError
                 _fail(exc, EXIT_USAGE)
             try:
                 results, lines, ok = compute(**inputs, **options)
@@ -96,7 +99,7 @@ def _command(name: str, graph: bool = True):
 
         run = click.option("--json", "as_json", is_flag=True, help="machine-readable output")(run)
         if graph:
-            run = click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))(run)
+            run = click.argument("graph_file")(run)
         return main.command(name)(run)
 
     return register

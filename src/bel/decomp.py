@@ -25,12 +25,30 @@ Hreinsdottir, Kahle, Rauh 2010), so its associated primes are its
 minimal primes.  Both hypotheses are decided combinatorially
 (``graphs.ass_count_is_two``, ``recognizers.is_caterpillar``), and a
 graph meeting one gets ``equal=True`` with the theorem named as its
-certificate, without building any ideal.  Every other graph takes
-``groebner_verdict``, which compares canonical reduced Groebner bases and
-stays the authority that the tests and the suite check the theorems
-against.  The theorem path applies over QQ only: the paper's abstract,
-which is all this project has of it, names no coefficient field, so
-prime fields keep the Groebner route.
+certificate, without building any ideal.
+
+A third certificate, ``initial_containment``, answers at the t asked.
+J_G is radical and its lex initial ideal in(J_G) is squarefree, generated
+by the monomials of the admissible paths (HHHKR 2010).  For a radical
+ideal I with squarefree in(I), in(I^(t)) lies inside in(I)^(t) (Sullivant,
+"Combinatorial symbolic powers", J. Algebra 2008).  And J^t lies inside
+J^(t), so in(J^t) lies inside in(J^(t)).  Hence if in(J_G)^(t) lies inside
+in(J_G^t), the two initial ideals agree, and J_G^t = J_G^(t), since two
+nested ideals with one initial ideal are equal.  The check reads in(J_G)
+off ``bei.initial_ideal`` and builds in(J_G)^(t) from the minimal vertex
+covers of its generators' supports (``_monomial_symbolic_power``); only
+J_G^t needs a Groebner basis, and if the check fails the Groebner route
+reuses it.  It is tried only on net-free graphs: a graph with an induced
+net is unequal at t = 2 and 3 (a witness for the net is one for the
+graph, by the retraction onto the net's variables), so there the check
+could only fail and would add its cost to the Groebner verdict.  The
+labelling is the graph's own.
+
+Every other graph takes ``groebner_verdict``, which compares canonical
+reduced Groebner bases and stays the authority that the tests and the
+suite check the certificates against.  The certificates apply over QQ
+only: the paper's abstract, which is all this project has of it, names
+no coefficient field, so prime fields keep the Groebner route.
 """
 
 from __future__ import annotations
@@ -38,12 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .bei import binomial_edge_ideal, edge_binomial, graph_ring
+from .bei import binomial_edge_ideal, edge_binomial, graph_ring, initial_ideal
 from .errors import SizeLimitError
 from .fields import QQ
 from .graphs import Graph, ass_count_is_two, components_within, is_connected
 from .ideals import Ideal, intersect_all
-from .recognizers import is_caterpillar
+from .recognizers import is_caterpillar, is_net_free
 from .rings import Polynomial
 
 MINIMAL_PRIMES_CAP = 8
@@ -217,7 +235,9 @@ class EqualityVerdict:
     t: int
     equal: bool
     witness: Polynomial | None  # in the symbolic but not the ordinary power
-    certificate: str = "groebner"  # or the theorem that decided it: "ass_two", "caterpillar"
+    # or what proved equality: the theorems "ass_two", "caterpillar", or
+    # "initial_containment", in(J)^(t) inside in(J^t)
+    certificate: str = "groebner"
 
     def check_witness(self, ordinary: Ideal, symbolic: Ideal) -> bool:
         if self.equal:
@@ -227,11 +247,95 @@ class EqualityVerdict:
         return symbolic.contains(self.witness) and not ordinary.contains(self.witness)
 
 
+def _minimal_covers(edges) -> list:
+    """The minimal vertex covers of the hypergraph with the given edges
+    (sets of vertices), sorted.  Each edge in turn keeps the covers that
+    meet it and grows the others by one of its vertices; the minimal ones
+    among those are the minimal covers of the edges so far (Berge)."""
+    covers = [frozenset()]
+    for e in edges:
+        grown = {c if c & e else c | {v} for c in covers for v in e}
+        covers = [c for c in grown if not any(d < c for d in grown)]
+    return sorted(sorted(c) for c in covers)
+
+
+def _spread(d: int, caps):
+    """Every way to add d to the fields of ``caps``, field k by at most caps[k]."""
+    if not caps:
+        if d == 0:
+            yield ()
+        return
+    for a in range(min(d, caps[0]) + 1):
+        for rest in _spread(d - a, caps[1:]):
+            yield (a,) + rest
+
+
+def _monomial_symbolic_power(gens, t: int) -> list:
+    """Minimal generators of the t-th symbolic power of the squarefree
+    monomial ideal generated by the nonempty list of exponent vectors
+    ``gens``, sorted by degree, then ascending.
+
+    Its minimal primes are (x_C) over the minimal vertex covers C of the
+    generators' supports, so I^(t) is the intersection of the (x_C)^t and
+    a monomial m lies in it iff every C has sum_{v in C} m_v >= t.  The
+    generators are built cover by cover: each one short of t on C gains
+    its deficit on C in every way that keeps each exponent at most t, and
+    the result is cut to its minimal elements.  No pairwise lcm is formed.
+
+    A monomial is packed into one integer, a field of t.bit_length() bits
+    plus a guard bit per variable, the first variable highest, so adding
+    exponents is adding integers and k divides m iff no field of
+    (m | guards) - k loses its guard bit.
+    """
+    nvars = len(gens[0])
+    width = t.bit_length() + 1
+    shifts = [width * (nvars - 1 - v) for v in range(nvars)]
+    guards = sum(1 << (s + width - 1) for s in shifts)
+    mask = (1 << width) - 1
+    out = [(0, 0)]  # (degree, packed monomial)
+    for C in _minimal_covers([frozenset(i for i, e in enumerate(m) if e) for m in gens]):
+        grown = set()
+        for deg, m in out:
+            have = [(m >> shifts[v]) & mask for v in C]
+            short = t - sum(have)
+            if short <= 0:
+                grown.add((deg, m))
+                continue
+            for w in _spread(short, [t - h for h in have]):
+                grown.add((deg + short, m + sum(a << shifts[v] for v, a in zip(C, w))))
+        out, kept = [], []
+        for deg, m in sorted(grown):
+            high = m | guards
+            if all((high - k) & guards != guards for k in kept):
+                out.append((deg, m))
+                kept.append(m)
+    return [tuple((m >> s) & mask for s in shifts) for _, m in out]
+
+
+def _initial_containment(G: Graph, t: int, ordinary: Ideal) -> bool:
+    """Whether every minimal generator of in(J_G)^(t) is divisible by a
+    leading monomial of the reduced basis of ``ordinary`` = J_G^t, that is
+    in(J_G)^(t) lies inside in(J_G^t)."""
+    initial = [g.leading_monomial() for g in initial_ideal(G).gens]
+    lms = [g.leading_monomial() for g in ordinary.groebner()]
+    return all(any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+               for m in _monomial_symbolic_power(initial, t))
+
+
 def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> EqualityVerdict:
-    """Decide J_G^t = J_G^(t): by the paper's theorems when G is connected
-    and J_G has two associated primes or G is a caterpillar tree (over QQ
-    only), otherwise by groebner_verdict.  The size cap and t >= 1 are
-    enforced either way."""
+    """Decide J_G^t = J_G^(t).  Over QQ, on a connected G: by the paper's
+    theorems when J_G has two associated primes or G is a caterpillar
+    tree; else, when G is net-free, equal if in(J_G)^(t) lies inside
+    in(J_G^t).  That suffices: J_G is radical with squarefree in(J_G)
+    (HHHKR 2010), so in(J_G^(t)) lies inside in(J_G)^(t) (Sullivant 2008,
+    for I radical with in(I) squarefree), which makes in(J_G^t) and
+    in(J_G^(t)) equal.  in(J_G)^(t) is the intersection of (x_C)^t over
+    the minimal vertex covers C of the supports of in(J_G)'s generators,
+    built cover by cover (``_monomial_symbolic_power``).  A graph with an
+    induced net is unequal at t = 2 and 3, so the check is not tried
+    there; that decides nothing, it only spares a check that would fail.
+    Everything else goes by groebner_verdict, which reuses J_G^t from a
+    failed check.  The size cap and t >= 1 are enforced either way."""
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     _check_cap(G, cap)
@@ -240,6 +344,11 @@ def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) 
             return EqualityVerdict(G, t, True, None, "ass_two")
         if is_caterpillar(G):
             return EqualityVerdict(G, t, True, None, "caterpillar")
+        if is_net_free(G):
+            ordinary = binomial_edge_ideal(G, field).power(t)
+            if _initial_containment(G, t, ordinary):
+                return EqualityVerdict(G, t, True, None, "initial_containment")
+            return _compare_powers(G, t, ordinary, symbolic_power(G, t, field, cap=cap))
     return groebner_verdict(G, t, field, cap)
 
 
@@ -248,7 +357,10 @@ def groebner_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) 
     inequality, the witness is the first reduced-GB element of the
     symbolic power outside the ordinary power."""
     ordinary = binomial_edge_ideal(G, field).power(t)
-    symbolic = symbolic_power(G, t, field, cap=cap)
+    return _compare_powers(G, t, ordinary, symbolic_power(G, t, field, cap=cap))
+
+
+def _compare_powers(G: Graph, t: int, ordinary: Ideal, symbolic: Ideal) -> EqualityVerdict:
     if ordinary.equal(symbolic):
         return EqualityVerdict(G, t, True, None)
     witness = None

@@ -162,10 +162,12 @@ def test_powers_unequal_exit_code(runner, graph_file):
 
 
 def test_powers_certificate(runner, graph_file):
-    """The powers report names the theorem or the Groebner route that
-    decided it, beside the unchanged keys, in JSON and in text."""
+    """The powers report names the theorem, the initial containment or the
+    Groebner route that decided it, beside the unchanged keys, in JSON and
+    in text."""
+    K23 = Graph.from_edges(5, [(1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)])
     for G, cert, code in [(Graph.path(3), "ass_two", 0), (Graph.path(4), "caterpillar", 0),
-                          (net_graph(), "groebner", 1)]:
+                          (K23, "initial_containment", 0), (net_graph(), "groebner", 1)]:
         res = runner.invoke(cli.main, ["powers", "--json", graph_file(G)])
         assert res.exit_code == code
         results = json.loads(res.output)["results"]
@@ -271,6 +273,8 @@ REPORTS_PINNED = [
         "t": 2, "equal": False, "witness": _NET_WITNESS, "certificate": "groebner"},
         _NET, "QQ"), ""),
     (["powers"], None, 2, "", "error: line 1: expected 'u v', got 'definitely not a graph'\n"),
+    (["powers"], "missing.graph", 2, "",
+     "error: cannot read missing.graph: No such file or directory\n"),
     (["gb", "--field", "gf:9"], Graph.path(3), 2, "",
      "error: unknown field spec 'gf:9' (expected 'q' or 'fp:<p>')\n"),
     (["powers", "--t", "0"], Graph.path(3), 2, "", "error: --t must be >= 1\n"),
@@ -279,14 +283,17 @@ REPORTS_PINNED = [
 ]
 
 
-def test_reports_pinned(runner, graph_file, tmp_path):
+def test_reports_pinned(runner, graph_file, tmp_path, monkeypatch):
     """Exact stdout (a ``--json`` report with its ``seconds`` read as 0),
     stderr and exit code of every command, on answers and on each error
-    path; graph None stands for a malformed file."""
+    path; graph None stands for a malformed file, and a string for a file
+    name that does not exist."""
     bad = tmp_path / "bad.graph"
     bad.write_text("definitely not a graph\n")
+    monkeypatch.chdir(tmp_path)
     for args, G, code, stdout, stderr in REPORTS_PINNED:
-        res = runner.invoke(cli.main, [*args, str(bad) if G is None else graph_file(G)])
+        path = str(bad) if G is None else G if isinstance(G, str) else graph_file(G)
+        res = runner.invoke(cli.main, [*args, path])
         out, timed = re.subn(r'(?<=\n  "seconds": )[0-9.]+(?=,\n)', "0", res.stdout)
         assert timed == (code < 2 and "--json" in args), args
         assert (res.exit_code, out, res.stderr) == (code, stdout, stderr), args

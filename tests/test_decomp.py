@@ -4,10 +4,13 @@ from itertools import combinations, permutations
 import pytest
 
 from bel import corpus, decomp, kernel
-from bel.bei import binomial_edge_ideal, edge_binomial
+from bel.bei import binomial_edge_ideal, edge_binomial, initial_ideal
 from bel.decomp import (
     _inclusion_minimal,
+    _initial_containment,
     _lies_inside,
+    _minimal_covers,
+    _monomial_symbolic_power,
     _subsets,
     equality_verdict,
     groebner_verdict,
@@ -18,10 +21,10 @@ from bel.decomp import (
 from bel.errors import SizeLimitError
 from bel.fields import PrimeField
 from bel.graphs import Graph, ass_count_is_two, disjoint_union, is_connected, net_graph
-from bel.ideals import intersect_all
-from bel.recognizers import is_caterpillar
+from bel.ideals import Ideal, intersect_all
+from bel.recognizers import is_caterpillar, is_net_free
 
-from conftest import check_lifted_witness, oracle_minimal_primes
+from conftest import check_lifted_witness, connected_classes, oracle_minimal_primes
 
 
 def U_sets(primes):
@@ -227,21 +230,23 @@ K23 = Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 def test_verdict_route(monkeypatch):
-    """Covered graphs are decided without a kernel call; the rest, prime
-    fields and disconnected graphs keep the Groebner verdict and witness."""
-    groebner_cases = [
-        (net_graph(), None, False, NET_WITNESS),
-        (K23_34, None, True, None),
-        (K23_34_PLUS_12, None, True, None),
-        (K23, None, True, None),
-        (Graph.complete(4), None, True, None),
-        (disjoint_union(Graph.path(3), Graph.path(3)), None, True, None),
-        (Graph.path(3), PrimeField(32003), True, None),
+    """Theorem-covered graphs are decided without a kernel call; K_{2,3}
+    under both labellings, K23_34 plus a chord and K_4 by the initial
+    containment; the net, prime fields and disconnected graphs keep the
+    Groebner verdict and witness."""
+    uncovered_cases = [
+        (net_graph(), None, False, NET_WITNESS, "groebner"),
+        (K23_34, None, True, None, "initial_containment"),
+        (K23_34_PLUS_12, None, True, None, "initial_containment"),
+        (K23, None, True, None, "initial_containment"),
+        (Graph.complete(4), None, True, None, "initial_containment"),
+        (disjoint_union(Graph.path(3), Graph.path(3)), None, True, None, "groebner"),
+        (Graph.path(3), PrimeField(32003), True, None, "groebner"),
     ]
-    for G, field, equal, witness in groebner_cases:
+    for G, field, equal, witness, cert in uncovered_cases:
         v = equality_verdict(G, 2, field) if field else equality_verdict(G, 2)
         got = (v.equal, str(v.witness) if v.witness else None, v.certificate)
-        assert got == (equal, witness, "groebner"), sorted(G.edges)
+        assert got == (equal, witness, cert), sorted(G.edges)
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel called on a covered graph")
@@ -300,3 +305,81 @@ def test_house_fold_reduces_few_s_polynomials(monkeypatch):
     monkeypatch.setattr(decomp, "intersect_all", counted_fold)
     symbolic_power(K23_34, 2).groebner()
     assert 0 < stats["reduced"] <= 1500
+
+
+def _certified(G, t):
+    """Whether equality_verdict's initial-containment check certifies G at t."""
+    return is_net_free(G) and _initial_containment(G, t, binomial_edge_ideal(G).power(t))
+
+
+def test_initial_containment_agrees_with_groebner():
+    """Of the uncovered connected graphs with n <= 6 at t=2 and n <= 5 at
+    t=3, the check certifies 12 and 6, among them K_{2,3}, K_4 and K_5;
+    each is equal by groebner_verdict and takes the certificate from
+    equality_verdict."""
+    uncovered = [G for G in connected_classes(6) if G.n >= 2 and not _theorem(G)]
+    cases = [(G, 2) for G in uncovered] + [(G, 3) for G in uncovered if G.n <= 5]
+    certified = [(G, t) for G, t in cases if _certified(G, t)]
+    assert [sum(t == k for _, t in certified) for k in (2, 3)] == [12, 6]
+    assert {(Graph.complete(4), 2), (Graph.complete(5), 3)} <= set(certified)
+    assert sum(corpus.canonical_form(G) == corpus.canonical_form(K23) for G, _ in certified) == 2
+    for G, t in certified:
+        g = groebner_verdict(G, t)
+        assert (g.equal, g.witness) == (True, None), (sorted(G.edges), t)
+        assert equality_verdict(G, t).certificate == "initial_containment", (sorted(G.edges), t)
+
+
+def test_initial_containment_rejects_unequal_graphs():
+    """Called without the net-free gate, the check fails where the powers
+    differ (the net at t=2 and t=3) and on C5 at t=2, which stays on
+    Groebner."""
+    for G, t in ((net_graph(), 2), (net_graph(), 3), (Graph.cycle(5), 2)):
+        assert not _initial_containment(G, t, binomial_edge_ideal(G).power(t)), (sorted(G.edges), t)
+
+
+def test_failed_check_reuses_the_ordinary_basis(monkeypatch):
+    """equality_verdict makes the kernel calls groebner_verdict makes: on
+    the net, which the gate keeps from the check, in the same order, and
+    on a net-free graph the check fails on, whose J^2 basis the Groebner
+    comparison reuses, in another order."""
+    G = Graph.from_edges(5, [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5)])
+    calls = []
+    for name in ("buchberger", "normal_form", "interreduce"):
+        real = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    for H in (net_graph(), G):
+        calls.clear()
+        assert equality_verdict(H, 2).certificate == "groebner"
+        routed = list(calls)
+        calls.clear()
+        groebner_verdict(H, 2)
+        assert sorted(routed) == sorted(calls), sorted(H.edges)
+        assert (routed == calls) == (H == net_graph()), sorted(H.edges)
+
+
+def _oracle_covers(supports, nvars):
+    """Minimal vertex covers by walking every variable subset by size."""
+    covers = []
+    for C in map(set, _subsets(range(nvars))):
+        if all(C & s for s in supports) and not any(D <= C for D in covers):
+            covers.append(C)
+    return sorted(sorted(C) for C in covers)
+
+
+def test_monomial_symbolic_power_matches_intersection():
+    """For in(J_G) of every connected graph with 2 <= n <= 4 at t = 2 and
+    3, and of K23_34 at t=2, the minimal covers are those of a walk over
+    all variable subsets, and the generators are the reduced basis of the
+    intersection of the ideals (x_C)^t."""
+    cases = [(G, t) for G in connected_classes(4) if G.n >= 2 for t in (2, 3)] + [(K23_34, 2)]
+    for G, t in cases:
+        initial = initial_ideal(G)
+        R = initial.ring
+        gens = [g.leading_monomial() for g in initial.gens]
+        supports = [frozenset(i for i, e in enumerate(m) if e) for m in gens]
+        covers = _oracle_covers(supports, R.nvars)
+        assert _minimal_covers(supports) == covers, sorted(G.edges)
+        want = intersect_all([Ideal(R, [R.var(v) for v in C]).power(t) for C in covers]).groebner()
+        got = _monomial_symbolic_power(gens, t)
+        assert sorted(got) == sorted(g.leading_monomial() for g in want), (sorted(G.edges), t)
+        assert len(set(got)) == len(got)
