@@ -18,37 +18,13 @@ P_U has height |U| + n - c(U) (Herzog, Hibi, Hreinsdottir, Kahle, Rauh
 2010, Lemma 3.1), c(U) the number of components of G minus U, so each
 prime's dimension comes from the graph without any algebra.
 
-The equality verdict is theorem first.  The source paper proves
-J_G^t = J_G^(t) for every t >= 1 when J_G has exactly two associated
-primes and when G is a caterpillar tree; J_G is radical (Herzog, Hibi,
-Hreinsdottir, Kahle, Rauh 2010), so its associated primes are its
-minimal primes.  Both hypotheses are decided combinatorially
-(``graphs.ass_count_is_two``, ``recognizers.is_caterpillar``), and a
-graph meeting one gets ``equal=True`` with the theorem named as its
-certificate, without building any ideal.
-
-A third certificate, ``initial_containment``, answers at the t asked.
-J_G is radical and its lex initial ideal in(J_G) is squarefree, generated
-by the monomials of the admissible paths (HHHKR 2010).  For a radical
-ideal I with squarefree in(I), in(I^(t)) lies inside in(I)^(t) (Sullivant,
-"Combinatorial symbolic powers", J. Algebra 2008).  And J^t lies inside
-J^(t), so in(J^t) lies inside in(J^(t)).  Hence if in(J_G)^(t) lies inside
-in(J_G^t), the two initial ideals agree, and J_G^t = J_G^(t), since two
-nested ideals with one initial ideal are equal.  The check reads in(J_G)
-off ``bei.initial_ideal`` and builds in(J_G)^(t) from the minimal vertex
-covers of its generators' supports (``_monomial_symbolic_power``); only
-J_G^t needs a Groebner basis, and if the check fails the Groebner route
-reuses it.  It is tried only on net-free graphs: a graph with an induced
-net is unequal at t = 2 and 3 (a witness for the net is one for the
-graph, by the retraction onto the net's variables), so there the check
-could only fail and would add its cost to the Groebner verdict.  The
-labelling is the graph's own.
-
-Every other graph takes ``groebner_verdict``, which compares canonical
-reduced Groebner bases and stays the authority that the tests and the
-suite check the certificates against.  The certificates apply over QQ
-only: the paper's abstract, which is all this project has of it, names
-no coefficient field, so prime fields keep the Groebner route.
+The equality verdict tries the rows of ``CERTIFICATES`` first, in
+order; each row's check states in its docstring what it proves and on
+which hypotheses.  They apply over QQ, on connected graphs, only: the
+paper's abstract, which is all this project has of it, names no
+coefficient field.  Every other graph takes ``groebner_verdict``, which
+compares canonical reduced Groebner bases and stays the authority that
+the tests and the suite check the certificates against.
 """
 
 from __future__ import annotations
@@ -235,8 +211,8 @@ class EqualityVerdict:
     t: int
     equal: bool
     witness: Polynomial | None  # in the symbolic but not the ordinary power
-    # or what proved equality: the theorems "ass_two", "caterpillar", or
-    # "initial_containment", in(J)^(t) inside in(J^t)
+    # the row of CERTIFICATES that proved equality, or "groebner" for the
+    # Groebner comparison
     certificate: str = "groebner"
 
     def check_witness(self, ordinary: Ideal, symbolic: Ideal) -> bool:
@@ -312,62 +288,86 @@ def _monomial_symbolic_power(gens, t: int) -> list:
     return [tuple((m >> s) & mask for s in shifts) for _, m in out]
 
 
-def _initial_containment(G: Graph, t: int, ordinary: Ideal) -> bool:
-    """Whether every minimal generator of in(J_G)^(t) is divisible by a
-    leading monomial of the reduced basis of ``ordinary`` = J_G^t, that is
-    in(J_G)^(t) lies inside in(J_G^t)."""
+def _ass_two(G: Graph, t: int, built: list) -> bool:
+    """The source paper: |Ass(J_G)| = 2 gives J_G^t = J_G^(t) for every
+    t >= 1.  J_G is radical (HHHKR 2010), so Ass(J_G) is its set of
+    minimal primes, counted off the graph by ``graphs.ass_count_is_two``."""
+    return ass_count_is_two(G)
+
+
+def _caterpillar(G: Graph, t: int, built: list) -> bool:
+    """The source paper: if G is a caterpillar tree, then J_G^t = J_G^(t)
+    for every t >= 1 (``recognizers.is_caterpillar``)."""
+    return is_caterpillar(G)
+
+
+def _initial_containment(G: Graph, t: int, built: list) -> bool:
+    """J_G^t = J_G^(t) at this t if in(J_G)^(t) lies inside in(J_G^t),
+    lex in the graph's own labelling.  J_G is radical with squarefree
+    in(J_G), generated by the admissible paths' monomials (HHHKR 2010);
+    for a radical I with squarefree in(I), in(I^(t)) lies inside
+    in(I)^(t) (Sullivant, "Combinatorial symbolic powers", J. Algebra
+    2008).  So in(J^t) lies inside in(J^(t)), inside in(J)^(t), inside
+    in(J^t) by the check: the nested ideals J^t and J^(t) have one
+    initial ideal and are equal.  Only J_G^t needs a Groebner basis
+    (``_monomial_symbolic_power`` builds in(J_G)^(t)); it goes into
+    ``built`` for the Groebner comparison to reuse on a miss.
+
+    Graphs with an induced net are refused at every t, before J_G^t is
+    built: at t = 2 and 3 they are unequal (the net's witness is one for
+    the graph, by the retraction onto the net's variables), so the check
+    could only fail.  At t = 1 it would hold, but such a graph gets the
+    Groebner comparison's "groebner" certificate; no verdict changes."""
+    if not is_net_free(G):
+        return False
+    built.append(binomial_edge_ideal(G).power(t))
     initial = [g.leading_monomial() for g in initial_ideal(G).gens]
-    lms = [g.leading_monomial() for g in ordinary.groebner()]
+    lms = [g.leading_monomial() for g in built[0].groebner()]
     return all(any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
                for m in _monomial_symbolic_power(initial, t))
 
 
+# The proofs of J_G^t = J_G^(t) for a connected G over QQ, in the order
+# they are tried: check(G, t, built) holds when the certificate proves
+# equality at t, and appends J_G^t to the list ``built`` if it builds it.
+CERTIFICATES = (
+    ("ass_two", _ass_two),
+    ("caterpillar", _caterpillar),
+    ("initial_containment", _initial_containment),
+)
+
+
 def equality_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> EqualityVerdict:
-    """Decide J_G^t = J_G^(t).  Over QQ, on a connected G: by the paper's
-    theorems when J_G has two associated primes or G is a caterpillar
-    tree; else, when G is net-free, equal if in(J_G)^(t) lies inside
-    in(J_G^t).  That suffices: J_G is radical with squarefree in(J_G)
-    (HHHKR 2010), so in(J_G^(t)) lies inside in(J_G)^(t) (Sullivant 2008,
-    for I radical with in(I) squarefree), which makes in(J_G^t) and
-    in(J_G^(t)) equal.  in(J_G)^(t) is the intersection of (x_C)^t over
-    the minimal vertex covers C of the supports of in(J_G)'s generators,
-    built cover by cover (``_monomial_symbolic_power``).  A graph with an
-    induced net is unequal at t = 2 and 3, so the check is not tried
-    there; that decides nothing, it only spares a check that would fail.
-    Everything else goes by groebner_verdict, which reuses J_G^t from a
-    failed check.  The size cap and t >= 1 are enforced either way."""
+    """Decide J_G^t = J_G^(t).  Over QQ, on a connected G, the first row
+    of ``CERTIFICATES`` whose check holds decides equal; else the
+    Groebner comparison decides, reusing J_G^t if a check built it.  The
+    size cap and t >= 1 are enforced either way."""
     if t < 1:
         raise ValueError("power exponent must be >= 1")
     _check_cap(G, cap)
+    built = []
     if field == QQ and is_connected(G):
-        if ass_count_is_two(G):
-            return EqualityVerdict(G, t, True, None, "ass_two")
-        if is_caterpillar(G):
-            return EqualityVerdict(G, t, True, None, "caterpillar")
-        if is_net_free(G):
-            ordinary = binomial_edge_ideal(G, field).power(t)
-            if _initial_containment(G, t, ordinary):
-                return EqualityVerdict(G, t, True, None, "initial_containment")
-            return _compare_powers(G, t, ordinary, symbolic_power(G, t, field, cap=cap))
-    return groebner_verdict(G, t, field, cap)
+        for certificate, holds in CERTIFICATES:
+            if holds(G, t, built):
+                return EqualityVerdict(G, t, True, None, certificate)
+    return _compare_powers(G, t, field, cap, built[0] if built else None)
 
 
 def groebner_verdict(G: Graph, t: int, field=QQ, cap: int = MINIMAL_PRIMES_CAP) -> EqualityVerdict:
     """Decide J_G^t = J_G^(t) by comparing reduced Groebner bases; on
     inequality, the witness is the first reduced-GB element of the
     symbolic power outside the ordinary power."""
-    ordinary = binomial_edge_ideal(G, field).power(t)
-    return _compare_powers(G, t, ordinary, symbolic_power(G, t, field, cap=cap))
+    return _compare_powers(G, t, field, cap)
 
 
-def _compare_powers(G: Graph, t: int, ordinary: Ideal, symbolic: Ideal) -> EqualityVerdict:
+def _compare_powers(G: Graph, t: int, field, cap: int, ordinary: Ideal | None = None) -> EqualityVerdict:
+    """Compare J_G^t, or ``ordinary`` if already built, with J_G^(t)."""
+    if ordinary is None:
+        ordinary = binomial_edge_ideal(G, field).power(t)
+    symbolic = symbolic_power(G, t, field, cap=cap)
     if ordinary.equal(symbolic):
         return EqualityVerdict(G, t, True, None)
-    witness = None
-    for g in symbolic.groebner():
-        if not ordinary.contains(g):
-            witness = g
-            break
+    witness = next((g for g in symbolic.groebner() if not ordinary.contains(g)), None)
     if witness is None:
         raise AssertionError("unequal ideals with no witness: ordinary not inside symbolic")
     return EqualityVerdict(G, t, False, witness)

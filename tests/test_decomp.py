@@ -20,9 +20,8 @@ from bel.decomp import (
 )
 from bel.errors import SizeLimitError
 from bel.fields import PrimeField
-from bel.graphs import Graph, ass_count_is_two, disjoint_union, is_connected, net_graph
+from bel.graphs import Graph, disjoint_union, is_connected, net_graph
 from bel.ideals import Ideal, intersect_all
-from bel.recognizers import is_caterpillar, is_net_free
 
 from conftest import check_lifted_witness, connected_classes, oracle_minimal_primes
 
@@ -199,26 +198,6 @@ def test_prime_component_validates_U():
         prime_component(Graph.path(3), {5})
 
 
-def _theorem(G):
-    """The certificate the paper's theorems give a connected graph, or None."""
-    if ass_count_is_two(G):
-        return "ass_two"
-    return "caterpillar" if is_caterpillar(G) else None
-
-
-def test_theorem_route_agrees_with_groebner(small_transversal):
-    """Every covered connected graph with n <= 5 at t = 2, and n <= 4 at
-    t = 3, gets equality from its theorem and from Groebner."""
-    covered = [G for G in small_transversal if _theorem(G)]
-    cases = [(G, 2) for G in covered] + [(G, 3) for G in covered if G.n <= 4]
-    assert {_theorem(G) for G in covered} == {"ass_two", "caterpillar"}
-    for G, t in cases:
-        v = equality_verdict(G, t)
-        assert (v.equal, v.witness, v.certificate) == (True, None, _theorem(G)), (sorted(G.edges), t)
-        g = groebner_verdict(G, t)
-        assert (g.equal, g.witness, g.certificate) == (True, None, "groebner"), (sorted(G.edges), t)
-
-
 NET_WITNESS = ("x1*x4*x5*y2*y3*y6 - x1*x4*x6*y2*y3*y5 - x2*x4*x5*y1*y3*y6 + x2*x5*x6*y1*y3*y4"
                " + x3*x4*x6*y1*y2*y5 - x3*x5*x6*y1*y2*y4")
 # K_{2,3} under two labellings, parts {3, 4} and {1, 2, 5} (K23_34) and
@@ -230,10 +209,12 @@ K23 = Graph.from_edges(5, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 def test_verdict_route(monkeypatch):
-    """Theorem-covered graphs are decided without a kernel call; K_{2,3}
-    under both labellings, K23_34 plus a chord and K_4 by the initial
-    containment; the net, prime fields and disconnected graphs keep the
-    Groebner verdict and witness."""
+    """CERTIFICATES holds its rows in their order.  Theorem-covered graphs
+    are decided without a kernel call; K_{2,3} under both labellings,
+    K23_34 plus a chord and K_4 by the initial containment; the net,
+    prime fields and disconnected graphs keep the Groebner verdict and
+    witness."""
+    assert tuple(name for name, _ in decomp.CERTIFICATES) == ("ass_two", "caterpillar", "initial_containment")
     uncovered_cases = [
         (net_graph(), None, False, NET_WITNESS, "groebner"),
         (K23_34, None, True, None, "initial_containment"),
@@ -307,34 +288,40 @@ def test_house_fold_reduces_few_s_polynomials(monkeypatch):
     assert 0 < stats["reduced"] <= 1500
 
 
-def _certified(G, t):
-    """Whether equality_verdict's initial-containment check certifies G at t."""
-    return is_net_free(G) and _initial_containment(G, t, binomial_edge_ideal(G).power(t))
-
-
-def test_initial_containment_agrees_with_groebner():
-    """Of the uncovered connected graphs with n <= 6 at t=2 and n <= 5 at
-    t=3, the check certifies 12 and 6, among them K_{2,3}, K_4 and K_5;
-    each is equal by groebner_verdict and takes the certificate from
-    equality_verdict."""
-    uncovered = [G for G in connected_classes(6) if G.n >= 2 and not _theorem(G)]
-    cases = [(G, 2) for G in uncovered] + [(G, 3) for G in uncovered if G.n <= 5]
-    certified = [(G, t) for G, t in cases if _certified(G, t)]
-    assert [sum(t == k for _, t in certified) for k in (2, 3)] == [12, 6]
-    assert {(Graph.complete(4), 2), (Graph.complete(5), 3)} <= set(certified)
-    assert sum(corpus.canonical_form(G) == corpus.canonical_form(K23) for G, _ in certified) == 2
-    for G, t in certified:
+def test_certificates_agree_with_groebner():
+    """Over every connected class with 2 <= n <= 6 at t=2 and n <= 5 at
+    t=3, the first row of CERTIFICATES whose check holds names
+    equality_verdict's certificate, and every graph a row certifies is
+    equal by groebner_verdict.  The theorems cover 33 classes, in 35 cases
+    by ass_two and 13 by caterpillar; the initial containment certifies 12
+    at t=2 and 6 at t=3, among them K_4, K_5 and K_{2,3} at both t."""
+    classes = [G for G in connected_classes(6) if G.n >= 2]
+    cases = [(G, 2) for G in classes] + [(G, 3) for G in classes if G.n <= 5]
+    certified = {name: [] for name, _ in decomp.CERTIFICATES}
+    for G, t in cases:
+        name = next((name for name, holds in decomp.CERTIFICATES if holds(G, t, [])), None)
+        if name is None:
+            continue
+        certified[name].append((G, t))
+        v = equality_verdict(G, t)
+        assert (v.equal, v.witness, v.certificate) == (True, None, name), (sorted(G.edges), t)
         g = groebner_verdict(G, t)
-        assert (g.equal, g.witness) == (True, None), (sorted(G.edges), t)
-        assert equality_verdict(G, t).certificate == "initial_containment", (sorted(G.edges), t)
+        assert (g.equal, g.witness, g.certificate) == (True, None, "groebner"), (sorted(G.edges), t)
+    assert [len(certified["ass_two"]), len(certified["caterpillar"])] == [35, 13]
+    assert len({corpus.canonical_form(G) for G, _ in certified["ass_two"] + certified["caterpillar"]}) == 33
+    contained = certified["initial_containment"]
+    assert [sum(t == k for _, t in contained) for k in (2, 3)] == [12, 6]
+    assert {(Graph.complete(4), 2), (Graph.complete(5), 3)} <= set(contained)
+    assert sum(corpus.canonical_form(G) == corpus.canonical_form(K23) for G, _ in contained) == 2
 
 
-def test_initial_containment_rejects_unequal_graphs():
-    """Called without the net-free gate, the check fails where the powers
+def test_initial_containment_rejects_unequal_graphs(monkeypatch):
+    """With its net-free gate lifted, the check fails where the powers
     differ (the net at t=2 and t=3) and on C5 at t=2, which stays on
     Groebner."""
+    monkeypatch.setattr(decomp, "is_net_free", lambda G: True)
     for G, t in ((net_graph(), 2), (net_graph(), 3), (Graph.cycle(5), 2)):
-        assert not _initial_containment(G, t, binomial_edge_ideal(G).power(t)), (sorted(G.edges), t)
+        assert not _initial_containment(G, t, []), (sorted(G.edges), t)
 
 
 def test_failed_check_reuses_the_ordinary_basis(monkeypatch):
